@@ -1,12 +1,18 @@
-"""Index-level backtracking searches shared by the lifting and universe code.
+"""The one backtracking search shared by the lifting and universe code.
 
 Maps are handled as tuples of codomain point indices aligned with the domain's
-``points`` order; candidate sets are bitmasks over codomain indices.  All
-enumeration orders are fixed, so every caller is deterministic.
+``points`` order; candidate sets are bitmasks over codomain indices.
+``_search`` assigns the domain points along a fixed order, least candidate
+first, so it yields solutions in lexicographic order along that order.  Each
+assignment narrows the masks of the later points related to it (forward
+checking), so a dead end shows as soon as a related point runs out of
+candidates, not only when the search reaches it: a linear extension may put
+every open point of a long zigzag before any closed one.  ``enum_hom``/``hom``
+search in point order; ``first_solution`` searches X's linear extension.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .space import Space
 
@@ -15,49 +21,66 @@ from .space import Space
 _HOM_CACHE: dict[tuple[int, int], tuple[Space, Space, tuple]] = {}
 
 
-def enum_hom(X: Space, Y: Space, cand: list[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """All monotone assignments X -> Y within per-point candidate masks.
+def _links(X: Space, order: tuple[int, ...]) -> tuple:
+    """Per step of ``order``: the point, then the later points in its
+    closure, then the later points whose closure holds it (cached)."""
+    key = ("links", order)
+    got = X._lazy.get(key)
+    if got is None:
+        upX, downX = X.up, X.down
+        got = tuple(
+            (i,
+             tuple(j for j in order[k + 1:] if (upX[i] >> j) & 1),
+             tuple(j for j in order[k + 1:] if (downX[i] >> j) & 1))
+            for k, i in enumerate(order)
+        )
+        X._lazy[key] = got
+    return got
 
-    Backtracks over ``X.points`` in order with ascending candidate values, so
-    the stream is lexicographic on the emitted tuples.
-    """
-    nX = len(X.points)
-    nY = len(Y.points)
-    if nX == 0:
-        yield ()
-        return
-    if nY == 0:
-        return
-    full = (1 << nY) - 1
-    if cand is None:
-        cand = [full] * nX
-    upX, downX = X.up, X.down
+
+def _search(
+    X: Space, Y: Space, cand: Sequence[int], order: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Monotone assignments X -> Y within per-point candidate masks, in
+    lexicographic order of the values along ``order``."""
+    steps = _links(X, order)
+    nX = len(steps)
     upY, downY = Y.up, Y.down
     t = [0] * nX
-    # per point: earlier points it is related to, in each direction
-    preds = [[j for j in range(i) if (downX[i] >> j) & 1] for i in range(nX)]
-    succs = [[j for j in range(i) if (upX[i] >> j) & 1] for i in range(nX)]
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == nX:
+    def rec(k: int, masks: list[int]) -> Iterator[tuple[int, ...]]:
+        if k == nX:
             yield tuple(t)
             return
-        mask = cand[i]
-        for j in preds[i]:
-            mask &= upY[t[j]]
-            if not mask:
-                return
-        for j in succs[i]:
-            mask &= downY[t[j]]
-            if not mask:
-                return
+        i, below, above = steps[k]
+        mask = masks[i]
         while mask:
             low = mask & -mask
-            t[i] = low.bit_length() - 1
+            v = low.bit_length() - 1
             mask ^= low
-            yield from rec(i + 1)
+            t[i] = v
+            narrowed = masks
+            if below or above:
+                narrowed = masks[:]
+                row = upY[v]
+                for j in below:
+                    narrowed[j] &= row
+                row = downY[v]
+                for j in above:
+                    narrowed[j] &= row
+                if 0 in narrowed:  # some point has no candidate left
+                    continue
+            yield from rec(k + 1, narrowed)
 
-    yield from rec(0)
+    return rec(0, list(cand))
+
+
+def enum_hom(X: Space, Y: Space, cand: list[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """All monotone assignments X -> Y within per-point candidate masks,
+    lexicographic on the emitted tuples."""
+    if cand is None:
+        cand = [(1 << len(Y.points)) - 1] * len(X.points)
+    return _search(X, Y, cand, tuple(range(len(X.points))))
 
 
 def hom(X: Space, Y: Space) -> tuple[tuple[int, ...], ...]:
@@ -71,60 +94,7 @@ def hom(X: Space, Y: Space) -> tuple[tuple[int, ...], ...]:
     return result
 
 
-def solutions(X: Space, Y: Space, cand: list[int]) -> Iterator[tuple[int, ...]]:
-    """Monotone assignments under candidate masks, found by forward checking.
-
-    Points are processed in a linear extension of X's preorder and the least
-    candidate is tried first; used where only a witness (or a complete but
-    order-insensitive scan) is needed.
-    """
-    nX = len(X.points)
-    nY = len(Y.points)
-    if nX == 0:
-        yield ()
-        return
-    if nY == 0 or any(c == 0 for c in cand):
-        return
-    ext = X.linear_extension()
-    upX, downX = X.up, X.down
-    upY, downY = Y.up, Y.down
-    cand = list(cand)
-    assigned = [-1] * nX
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == nX:
-            yield tuple(assigned)
-            return
-        i = ext[k]
-        mask = cand[i]
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            saved = []
-            dead = False
-            for pos in range(k + 1, nX):
-                j = ext[pos]
-                nm = cand[j]
-                if (upX[i] >> j) & 1:
-                    nm &= upY[v]
-                if (downX[i] >> j) & 1:
-                    nm &= downY[v]
-                if nm != cand[j]:
-                    saved.append((j, cand[j]))
-                    cand[j] = nm
-                    if not nm:
-                        dead = True
-                        break
-            if not dead:
-                assigned[i] = v
-                yield from rec(k + 1)
-                assigned[i] = -1
-            for j, old in saved:
-                cand[j] = old
-
-    yield from rec(0)
-
-
 def first_solution(X: Space, Y: Space, cand: list[int]) -> tuple[int, ...] | None:
-    return next(solutions(X, Y, cand), None)
+    """The least monotone assignment under candidate masks along X's linear
+    extension, or None."""
+    return next(_search(X, Y, cand, X.linear_extension()), None)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -219,6 +220,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # the reader closed the pipe (`ftop enumerate | head`): stop quietly
+        # with the shell's SIGPIPE status; the final flush goes to devnull
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

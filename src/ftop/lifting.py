@@ -13,20 +13,16 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from ._solve import enum_hom, first_solution, hom, solutions
+from ._solve import _search, enum_hom, first_solution, hom
 from .errors import CapacityError, MapError
-from .space import CMap, Space, compose, identity, map_to_json
+from .space import CMap, Space, compose, identity, map_from_tuple, map_to_json
 
 MATRIX_MAX_N = 3  # largest bound for the pairwise lifting matrix (multi-letter words)
 
 
 def monotone_maps(x: Space, y: Space) -> list[CMap]:
     """All continuous maps x -> y, in a deterministic canonical order."""
-    yp = y.points
-    return [
-        CMap(x, y, {p: yp[t[k]] for k, p in enumerate(x.points)})
-        for t in hom(x, y)
-    ]
+    return [map_from_tuple(x, y, t) for t in hom(x, y)]
 
 
 def _fibers(g: CMap) -> list[int]:
@@ -74,14 +70,13 @@ def _square_streams(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], tuple[i
 
 def squares(i: CMap, g: CMap) -> list[Square]:
     """All commutative squares from i to g."""
-    A, X = i.src, i.dst
-    Y, B = g.src, g.dst
-    out = []
-    for phi_t, f_t in _square_streams(i, g):
-        phi = CMap(X, B, {p: B.points[phi_t[k]] for k, p in enumerate(X.points)})
-        f = CMap(A, Y, {p: Y.points[f_t[k]] for k, p in enumerate(A.points)})
-        out.append(Square(i, g, f, phi))
-    return out
+    return [_square(i, g, phi_t, f_t) for phi_t, f_t in _square_streams(i, g)]
+
+
+def _square(i: CMap, g: CMap, phi_t, f_t) -> Square:
+    return Square(
+        i, g, map_from_tuple(i.src, g.src, f_t), map_from_tuple(i.dst, g.dst, phi_t)
+    )
 
 
 def _fill_tuple(i: CMap, g: CMap, phi_t, f_t) -> tuple[int, ...] | None:
@@ -97,11 +92,10 @@ def _fill_tuple(i: CMap, g: CMap, phi_t, f_t) -> tuple[int, ...] | None:
 
 def fill(sq: Square) -> Optional[CMap]:
     """A diagonal filler for the square, or None if none exists."""
-    X, Y = sq.i.dst, sq.g.src
     t = _fill_tuple(sq.i, sq.g, sq.phi.as_tuple(), sq.f.as_tuple())
     if t is None:
         return None
-    return CMap(X, Y, {p: Y.points[t[k]] for k, p in enumerate(X.points)})
+    return map_from_tuple(sq.i.dst, sq.g.src, t)
 
 
 def lifts_bool(i: CMap, g: CMap) -> bool:
@@ -169,22 +163,14 @@ class LiftCertificate:
 
 def lifts(i: CMap, g: CMap) -> LiftCertificate:
     """Decide i ⧄ g with a full certificate (fillers or one counterexample)."""
-    A, X = i.src, i.dst
-    Y, B = g.src, g.dst
     fillers = []
     count = 0
     for phi_t, f_t in _square_streams(i, g):
         count += 1
         h = _fill_tuple(i, g, phi_t, f_t)
         if h is None:
-            phi = CMap(X, B, {p: B.points[phi_t[k]] for k, p in enumerate(X.points)})
-            f = CMap(A, Y, {p: Y.points[f_t[k]] for k, p in enumerate(A.points)})
-            return LiftCertificate(
-                i, g, False, count, (), Square(i, g, f, phi)
-            )
-        fillers.append(
-            CMap(X, Y, {p: Y.points[h[k]] for k, p in enumerate(X.points)})
-        )
+            return LiftCertificate(i, g, False, count, (), _square(i, g, phi_t, f_t))
+        fillers.append(map_from_tuple(i.dst, g.src, h))
     return LiftCertificate(i, g, True, count, tuple(fillers), None)
 
 
@@ -350,66 +336,50 @@ class RetractWitness:
         )
 
 
+def _pinned(size: int, values: int, pins) -> list[int] | None:
+    """Candidate masks for ``size`` points over ``values`` codomain points,
+    with point x pinned to v for each (x, v) in ``pins``; None on a clash."""
+    cand = [(1 << values) - 1] * size
+    for x, v in pins:
+        cand[x] &= 1 << v
+        if not cand[x]:
+            return None
+    return cand
+
+
 def is_retract_of(f: CMap, g: CMap) -> Optional[RetractWitness]:
     """Search for section/retraction pairs exhibiting f as a retract of g."""
     A, B = f.src, f.dst
     C, D = g.src, g.dst
     ft, gt = f.as_tuple(), g.as_tuple()
     fib_g = _fibers(g)
-    fib_f = _fibers(f)
-    nA, nB, nC, nD = (len(s.points) for s in (A, B, C, D))
-    full_A = (1 << nA) - 1 if nA else 0
-    full_B = (1 << nB) - 1 if nB else 0
     for s_cod in hom(B, D):
-        cand_s = [fib_g[s_cod[ft[a]]] for a in range(nA)]
+        cand_s = [fib_g[s_cod[fa]] for fa in ft]
         if 0 in cand_s:
             continue
         for s_dom in enum_hom(A, C, cand_s):
             # retraction on domains: pinned by r∘s = id
-            cand_r = [full_A] * nC
-            ok = True
-            for a in range(nA):
-                c = s_dom[a]
-                cand_r[c] &= 1 << a
-                if not cand_r[c]:
-                    ok = False
-                    break
-            if not ok:
+            pins = [(c, a) for a, c in enumerate(s_dom)]
+            cand_r = _pinned(len(C.points), len(A.points), pins)
+            if cand_r is None:
                 continue
-            for r_dom in solutions(C, A, cand_r):
+            for r_dom in _search(C, A, cand_r, C.linear_extension()):
                 # retraction on codomains: pinned by r'∘s' = id and f∘r = r'∘g
-                cand_r2 = [full_B] * nD
-                good = True
-                for b in range(nB):
-                    d = s_cod[b]
-                    cand_r2[d] &= 1 << b
-                    if not cand_r2[d]:
-                        good = False
-                        break
-                if good:
-                    for c in range(nC):
-                        d = gt[c]
-                        cand_r2[d] &= 1 << ft[r_dom[c]]
-                        if not cand_r2[d]:
-                            good = False
-                            break
-                if not good:
+                pins = [(d, b) for b, d in enumerate(s_cod)]
+                pins += [(d, ft[r_dom[c]]) for c, d in enumerate(gt)]
+                cand_r2 = _pinned(len(D.points), len(B.points), pins)
+                if cand_r2 is None:
                     continue
                 r_cod = first_solution(D, B, cand_r2)
                 if r_cod is None:
                     continue
-                w = RetractWitness(
-                    _mk(A, C, s_dom),
-                    _mk(B, D, s_cod),
-                    _mk(C, A, r_dom),
-                    _mk(D, B, r_cod),
+                return RetractWitness(
+                    map_from_tuple(A, C, s_dom),
+                    map_from_tuple(B, D, s_cod),
+                    map_from_tuple(C, A, r_dom),
+                    map_from_tuple(D, B, r_cod),
                 )
-                return w
     return None
-
-
-def _mk(src: Space, dst: Space, t) -> CMap:
-    return CMap(src, dst, {p: dst.points[t[k]] for k, p in enumerate(src.points)})
 
 
 # -- factorization probes ------------------------------------------------------
@@ -459,27 +429,19 @@ def bounded_factor(
     A, B = f.src, f.dst
     ft = f.as_tuple()
     for z in u.spaces:
-        nZ = len(z.points)
         for i_t in hom(A, z):
             # p is pinned on the image of i by p∘i = f
-            cand = [(1 << len(B.points)) - 1] * nZ
-            ok = True
-            for a in range(len(A.points)):
-                za = i_t[a]
-                cand[za] &= 1 << ft[a]
-                if not cand[za]:
-                    ok = False
-                    break
-            if not ok:
+            cand = _pinned(len(z.points), len(B.points), zip(i_t, ft))
+            if cand is None:
                 continue
             i_map = None
             for p_t in enum_hom(z, B, cand):
                 if i_map is None:
-                    i_map = _mk(A, z, i_t)
+                    i_map = map_from_tuple(A, z, i_t)
                     ik = u.index_of_map(i_map)
                     if ik is None or ik not in left_set:
                         break
-                p_map = _mk(z, B, p_t)
+                p_map = map_from_tuple(z, B, p_t)
                 pk = u.index_of_map(p_map)
                 if pk is None or pk not in right_set:
                     continue

@@ -346,6 +346,12 @@ class CMap:
         return frozenset(self.assign.values())
 
 
+def map_from_tuple(src: Space, dst: Space, t) -> CMap:
+    """The map sending ``src.points[k]`` to ``dst.points[t[k]]`` (checked)."""
+    dp = dst.points
+    return CMap(src, dst, {p: dp[t[k]] for k, p in enumerate(src.points)})
+
+
 def identity(x: Space) -> CMap:
     return CMap(x, x, {p: p for p in x.points})
 

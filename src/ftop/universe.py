@@ -1,9 +1,11 @@
 """Exhaustive catalogs of finite spaces and monotone maps up to isomorphism.
 
-Spaces are enumerated as (poset of indiscernibility classes) x (class sizes)
-and canonicalized by the minimal adjacency encoding over all permutations;
-maps between catalog spaces are reduced modulo independent domain/codomain
-automorphisms.  Catalogs are cached on disk keyed by bound and code version.
+Spaces are enumerated as (poset of indiscernibility classes) x (class sizes).
+One permutation scan, ``_scan``, finds the minimal adjacency encoding of a
+relation and every permutation achieving it; canonical keys, canonical
+labelings and automorphism groups all come from that one scan.  Maps between
+catalog spaces are reduced modulo independent domain/codomain automorphisms.
+Catalogs are cached on disk keyed by bound and code version.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from ._solve import hom
 from .errors import CapacityError
-from .space import CMap, Space
+from .space import CMap, Space, map_from_tuple
 
 SPACES_MAX_N = 6
 MAPS_MAX_N = 5
@@ -74,22 +76,42 @@ def _enc_bits(n: int, up: Sequence[int], perm: Sequence[int]) -> int:
     return bits
 
 
-def _canon(space: Space) -> tuple[tuple[int, int], tuple[tuple[int, ...], ...]]:
-    """Canonical key (n, bits) and all permutations achieving it (cached)."""
-    got = space._lazy.get("canon")
-    if got is not None:
-        return got
-    n = len(space.points)
+def _scan(n: int, up: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Least encoding of the relation ``up`` over all relabelings, and every
+    permutation achieving it, in lexicographic order."""
     best = None
     args: list[tuple[int, ...]] = []
     for perm in itertools.permutations(range(n)):
-        b = _enc_bits(n, space.up, perm)
+        b = _enc_bits(n, up, perm)
         if best is None or b < best:
             best, args = b, [perm]
         elif b == best:
             args.append(perm)
-    got = ((n, best or 0), tuple(args))
-    space._lazy["canon"] = got
+    return best or 0, tuple(args)
+
+
+def _inverse(perm: Sequence[int]) -> list[int]:
+    inv = [0] * len(perm)
+    for pos, orig in enumerate(perm):
+        inv[orig] = pos
+    return inv
+
+
+def _auts(perms: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The automorphism group from ``_scan``'s minimizing permutations: any
+    two of them differ by an automorphism, so it is {tau∘sigma0^-1}."""
+    inv = _inverse(perms[0])
+    return tuple(sorted(tuple(tau[k] for k in inv) for tau in perms))
+
+
+def _canon(space: Space) -> tuple[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """Canonical key (n, bits) and all permutations achieving it (cached)."""
+    got = space._lazy.get("canon")
+    if got is None:
+        n = len(space.points)
+        bits, perms = _scan(n, space.up)
+        got = ((n, bits), perms)
+        space._lazy["canon"] = got
     return got
 
 
@@ -114,18 +136,8 @@ def canonical_space(space: Space) -> Space:
 
 
 def automorphisms(space: Space) -> tuple[tuple[int, ...], ...]:
-    """All relation-preserving permutations of the point indices."""
-    n = len(space.points)
-    up = space.up
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if all(
-            ((up[perm[i]] >> perm[j]) & 1) == ((up[i] >> j) & 1)
-            for i in range(n)
-            for j in range(n)
-        ):
-            out.append(perm)
-    return tuple(out)
+    """All relation-preserving permutations of the point indices, sorted."""
+    return _auts(_canon(space)[1])
 
 
 def map_key(f: CMap) -> tuple[int, int, int, int, tuple[int, ...]]:
@@ -135,9 +147,7 @@ def map_key(f: CMap) -> tuple[int, int, int, int, tuple[int, ...]]:
     t = f.as_tuple()
     best = None
     for pb in perms_b:
-        inv_b = [0] * nB
-        for pos, orig in enumerate(pb):
-            inv_b[orig] = pos
+        inv_b = _inverse(pb)
         for pa in perms_a:
             cand = tuple(inv_b[t[pa[k]]] for k in range(nA))
             if best is None or cand < best:
@@ -150,10 +160,10 @@ def map_key(f: CMap) -> tuple[int, int, int, int, tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _posets(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """Posets on k labeled points, one canonical labeling per iso class,
-    paired with their automorphism groups."""
+    """Posets on k labeled points, one labeling per iso class (in order of
+    canonical key), paired with their automorphism groups."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    found: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
     for mask in range(1 << len(pairs)):
         rows = [1 << i for i in range(k)]
         for bit, (i, j) in enumerate(pairs):
@@ -170,34 +180,11 @@ def _posets(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
             if need & ~rows[i]:
                 ok = False
                 break
-        if not ok:
-            continue
-        best = None
-        for perm in itertools.permutations(range(k)):
-            cand = tuple(
-                sum(
-                    1 << l
-                    for l in range(k)
-                    if (rows[perm[pos]] >> perm[l]) & 1
-                )
-                for pos in range(k)
-            )
-            if best is None or cand < best:
-                best = cand
-        found.setdefault(best, best)
-    out = []
-    for rows in sorted(found):
-        auts = tuple(
-            perm
-            for perm in itertools.permutations(range(k))
-            if all(
-                ((rows[perm[i]] >> perm[j]) & 1) == ((rows[i] >> j) & 1)
-                for i in range(k)
-                for j in range(k)
-            )
-        )
-        out.append((rows, auts))
-    return tuple(out)
+        if ok:
+            bits, perms = _scan(k, rows)
+            if bits not in found:
+                found[bits] = (tuple(rows), _auts(perms))
+    return tuple(found[bits] for bits in sorted(found))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -316,7 +303,7 @@ class Universe:
         if got is None:
             si, di, t = self.triples[k]
             src, dst = self.spaces[si], self.spaces[di]
-            got = CMap(src, dst, {p: dst.points[t[a]] for a, p in enumerate(src.points)})
+            got = map_from_tuple(src, dst, t)
             self._cmaps[k] = got
         return got
 
@@ -324,6 +311,8 @@ class Universe:
         return self._space_index.get(space_key(sp))
 
     def index_of_map(self, f: CMap) -> Optional[int]:
+        if len(f.src.points) > self.n or len(f.dst.points) > self.n:
+            return None  # outside the universe; spares a canonicalization
         nA, encA, nB, encB, t = map_key(f)
         si = self._space_index.get((nA, encA))
         di = self._space_index.get((nB, encB))
@@ -334,30 +323,21 @@ class Universe:
 
 def _map_triples(spaces: Sequence[Space]) -> list[tuple]:
     auts = [automorphisms(s) for s in spaces]
-    inv_auts = []
-    for group in auts:
-        invs = []
-        for pb in group:
-            inv = [0] * len(pb)
-            for pos, orig in enumerate(pb):
-                inv[orig] = pos
-            invs.append(tuple(inv))
-        inv_auts.append(tuple(invs))
     triples: list[tuple] = []
     for si, X in enumerate(spaces):
         auts_x = auts[si]
         nX = len(X.points)
         for di, Y in enumerate(spaces):
-            invs_y = inv_auts[di]
+            auts_y = auts[di]  # a group: it holds the inverse of each member
             reps = set()
             seen = set()
             for t in hom(X, Y):
                 if t in seen:
                     continue
                 orbit = {
-                    tuple(inv_b[t[pa[k]]] for k in range(nX))
-                    for pa in auts_x
-                    for inv_b in invs_y
+                    tuple(b[t[a[k]]] for k in range(nX))
+                    for a in auts_x
+                    for b in auts_y
                 }
                 seen |= orbit
                 reps.add(min(orbit))

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, output re-parseability."""
 import json
+import sys
 
 import pytest
 
@@ -109,6 +110,21 @@ class TestEnumerateCommand:
 
     def test_capacity(self, capsys):
         assert main(["enumerate", "-n", "9"]) == 3
+
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["enumerate", "-n", "2"]) == 141
+        assert not isinstance(sys.stdout, ClosedPipe)  # final flush is harmless
+        sys.stdout.flush()
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
 
 
 class TestRetractCommand:

@@ -1,0 +1,90 @@
+"""The one backtracking kernel and the one permutation scan against
+brute-force oracles (seeded, stdlib only)."""
+import itertools
+import random
+
+import pytest
+
+from ftop._solve import _search, enum_hom, first_solution
+from ftop.space import Space
+from ftop.universe import _posets, automorphisms, enumerate_spaces
+
+
+def random_space(rng, n):
+    names = [f"x{k}" for k in range(n)]
+    arrows = [(a, b) for a in names for b in names if a != b and rng.random() < 0.3]
+    return Space.from_arrows(names, arrows)
+
+
+def brute_force(X, Y, cand, order):
+    """Every monotone assignment within the masks, sorted along ``order``."""
+    nX, nY = len(X.points), len(Y.points)
+    found = [
+        t
+        for t in itertools.product(range(nY), repeat=nX)
+        if all((cand[i] >> t[i]) & 1 for i in range(nX))
+        and all(
+            (Y.up[t[i]] >> t[j]) & 1
+            for i in range(nX)
+            for j in range(nX)
+            if (X.up[i] >> j) & 1
+        )
+    ]
+    return sorted(found, key=lambda t: tuple(t[i] for i in order))
+
+
+def brute_force_automorphisms(space):
+    n = len(space.points)
+    up = space.up
+    return tuple(
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(
+            ((up[perm[i]] >> perm[j]) & 1) == ((up[i] >> j) & 1)
+            for i in range(n)
+            for j in range(n)
+        )
+    )
+
+
+class TestSearchKernel:
+    def test_streams_match_brute_force(self):
+        rng = random.Random(20211228)
+        for _ in range(300):
+            X = random_space(rng, rng.randint(0, 4))
+            Y = random_space(rng, rng.randint(0, 4))
+            full = (1 << len(Y.points)) - 1
+            cand = [
+                full if rng.random() < 0.4 else rng.randint(0, full)
+                for _ in X.points
+            ]
+            ident, ext = tuple(range(len(X.points))), X.linear_extension()
+            for order in (ident, ext):
+                assert list(_search(X, Y, cand, order)) == brute_force(X, Y, cand, order)
+            assert list(enum_hom(X, Y, cand)) == brute_force(X, Y, cand, ident)
+            want = brute_force(X, Y, cand, ext)
+            assert first_solution(X, Y, cand) == (want[0] if want else None)
+
+
+class TestPermutationScan:
+    def test_automorphisms_match_brute_force(self):
+        for space in enumerate_spaces(4):
+            # catalog spaces are canonically labeled; the reversed copy is not
+            for sp in (space, Space(space.points[::-1], space.rel)):
+                assert automorphisms(sp) == brute_force_automorphisms(sp)
+
+    @pytest.mark.parametrize("k, count", enumerate([1, 1, 2, 5, 16, 63]))
+    def test_poset_counts(self, k, count):
+        # OEIS A000112: posets on k unlabeled points
+        assert len(_posets(k)) == count
+
+    def test_poset_automorphism_groups(self):
+        for k in range(5):
+            for rows, auts in _posets(k):
+                names = [f"c{i}" for i in range(k)]
+                sp = Space(
+                    names,
+                    [(names[i], names[j]) for i in range(k) for j in range(k)
+                     if (rows[i] >> j) & 1],
+                )
+                assert auts == brute_force_automorphisms(sp)

@@ -4,9 +4,9 @@ import itertools
 import pytest
 
 from ftop.errors import CapacityError
-from ftop.lifting import lifts_bool, monotone_maps
-from ftop.registry import M_TO_LAMBDA
-from ftop.space import CMap, Space
+from ftop.lifting import lifts_bool, monotone_maps, relative_orthogonal
+from ftop.registry import EMPTY_TO_POINT, M_TO_LAMBDA
+from ftop.space import CMap, Space, sub
 from ftop.universe import (
     automorphisms,
     canonical_space,
@@ -128,6 +128,11 @@ class TestMapUniverse:
     def test_index_of_map_outside_universe(self):
         u = get_universe(2)
         assert u.index_of_map(M_TO_LAMBDA) is None
+
+    def test_large_maps_are_rejected_before_canonicalization(self):
+        # a 13-point domain would take 13! relabelings to canonicalize
+        assert get_universe(3).index_of_map(sub(3)) is None
+        assert sub(3) not in relative_orthogonal([EMPTY_TO_POINT], "r", 3)
 
     def test_every_labeled_map_has_a_representative(self):
         u = get_universe(2)
