@@ -1,4 +1,7 @@
 """Suite runner behavior: statuses, determinism, report schema."""
+import json
+from pathlib import Path
+
 import pytest
 
 from ftop.verify import SUITE_NAMES, run_suite
@@ -144,3 +147,16 @@ class TestReportShape:
         rep = run_suite("all", n=2)
         prefixes = {c.claim_id.split(".")[0] for c in rep.claims}
         assert "lemma21" in prefixes and "retract" in prefixes
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_all_n2.json"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_all_matches_golden_report(jobs):
+    """Every claim of every suite at n=2, runtimes aside, as recorded."""
+    want = json.loads(GOLDEN.read_text())
+    got = run_suite("all", n=2, jobs=jobs).to_json()
+    for claim in got["claims"]:
+        del claim["runtime"]
+    assert got == dict(want, jobs=jobs)
