@@ -12,13 +12,10 @@ search in point order; ``first_solution`` searches X's linear extension.
 """
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Sequence
 
 from .space import Space
-
-# hom-set cache keyed by object identity; values keep the spaces alive so ids
-# stay valid for the lifetime of the cache
-_HOM_CACHE: dict[tuple[int, int], tuple[Space, Space, tuple]] = {}
 
 
 def _links(X: Space, order: tuple[int, ...]) -> tuple:
@@ -84,13 +81,24 @@ def enum_hom(X: Space, Y: Space, cand: list[int] | None = None) -> Iterator[tupl
 
 
 def hom(X: Space, Y: Space) -> tuple[tuple[int, ...], ...]:
-    """All monotone assignments X -> Y, cached, in lexicographic order."""
-    key = (id(X), id(Y))
-    got = _HOM_CACHE.get(key)
+    """All monotone assignments X -> Y, in lexicographic order.
+
+    Cached on X under Y's identity: equal spaces may list their points in
+    different orders, and the tuples follow that order.  The entry holds Y
+    weakly and is dropped when Y dies, so the cache keeps no space alive."""
+    key = ("hom", id(Y))
+    got = X._lazy.get(key)
     if got is not None:
-        return got[2]
+        return got[1]
     result = tuple(enum_hom(X, Y))
-    _HOM_CACHE[key] = (X, Y, result)
+    owner = weakref.ref(X)
+
+    def drop(_):
+        x = owner()
+        if x is not None:
+            x._lazy.pop(key, None)
+
+    X._lazy[key] = (weakref.ref(Y, drop), result)
     return result
 
 

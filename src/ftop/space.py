@@ -53,7 +53,9 @@ class Space:
     arbitrary arrow set.
     """
 
-    __slots__ = ("points", "rel", "_pset", "_index", "up", "down", "_hash", "_lazy")
+    __slots__ = (
+        "points", "rel", "_pset", "_index", "up", "down", "_hash", "_lazy", "__weakref__",
+    )
 
     def __init__(self, points: Iterable[str], rel: Iterable[tuple[str, str]]):
         pts = tuple(points)
@@ -442,8 +444,8 @@ def quotient(x: Space, classes: Iterable[Iterable[str]]) -> tuple[Space, CMap]:
     """Quotient space for a partition of the points, with its projection.
 
     The relation is the reflexive-transitive closure of the projected
-    relation; for spaces of up to 5 points this is checked on the fly against
-    the saturated-open-set definition of the quotient topology.
+    relation, which gives the quotient topology: the finest one making the
+    projection continuous.
     """
     blocks = [tuple(dict.fromkeys(c)) for c in classes]
     flat = [p for c in blocks for p in c]
@@ -453,45 +455,14 @@ def quotient(x: Space, classes: Iterable[Iterable[str]]) -> tuple[Space, CMap]:
         raise SpaceError("classes do not partition the points of the space")
     blocks.sort(key=lambda c: min(x._index[p] for p in c))
     rep = {}
-    name_of = {}
     for c in blocks:
         first = min(c, key=lambda p: x._index[p])
-        name_of[c] = first
         for p in c:
             rep[p] = first
     arrows = [(rep[a], rep[b]) for a, b in x.rel]
-    q = Space.from_arrows([name_of[c] for c in blocks], arrows)
-    if len(x.points) <= 5:
-        assert q.rel == _quotient_rel_by_opens(x, blocks, name_of), (
-            "projected-relation shortcut disagrees with the saturated-open "
-            "quotient topology"
-        )
+    q = Space.from_arrows([rep[c[0]] for c in blocks], arrows)
     proj = CMap(x, q, {p: rep[p] for p in x.points})
     return q, proj
-
-
-def _quotient_rel_by_opens(x: Space, blocks, name_of) -> frozenset[tuple[str, str]]:
-    # opens of the quotient = families of blocks whose union is open in x
-    masks = [x._mask_of(c) for c in blocks]
-    k = len(blocks)
-    opens = []
-    for m in range(1 << k):
-        union = 0
-        for i in _bits(m):
-            union |= masks[i]
-        comp = ((1 << len(x.points)) - 1) & ~union
-        if x.closure_mask(comp) == comp:
-            opens.append(m)
-    rel = set()
-    for a in range(k):
-        for b in range(k):
-            if all(not (o >> b) & 1 or (o >> a) & 1 for o in opens):
-                rel.add((name_of[blocks[a]], name_of[blocks[b]]))
-    return frozenset(rel)
-
-
-def sierpinski() -> Space:
-    return Space.from_arrows(("o", "c"), (("o", "c"),))
 
 
 def cylinder(p: CMap) -> tuple[Space, CMap]:
@@ -520,32 +491,6 @@ def cylinder(p: CMap) -> tuple[Space, CMap]:
     proj = {yp: p.assign[yp] for yp in y.points}
     proj.update({ren[q]: q for q in b.points})
     return cyl, CMap(cyl, b, proj)
-
-
-def cylinder_by_quotient(p: CMap) -> tuple[Space, CMap]:
-    """The same cylinder computed as a quotient of (Y x S) + B."""
-    y, b = p.src, p.dst
-    prod = product(y, sierpinski())
-    pairs = prod._lazy["pairs"]
-    total = coproduct(prod, b)
-    # coproduct may have primed the b-part names; recover them positionally
-    bnames = total.points[len(prod.points):]
-    bname = dict(zip(b.points, bnames))
-    open_slice = {}
-    glue = {q: [bname[q]] for q in b.points}
-    for nm, (yp, s) in zip(prod.points, pairs):
-        if s == "o":
-            open_slice[yp] = nm
-        else:
-            glue[p.assign[yp]].append(nm)
-    classes = [[open_slice[yp]] for yp in y.points] + [glue[q] for q in b.points]
-    q_space, q_proj = quotient(total, classes)
-    proj = {}
-    for yp in y.points:
-        proj[q_proj.assign[open_slice[yp]]] = p.assign[yp]
-    for q in b.points:
-        proj[q_proj.assign[bname[q]]] = q
-    return q_space, CMap(q_space, b, proj)
 
 
 def lam(k: int) -> Space:

@@ -12,11 +12,18 @@ For claims about orthogonal classes beyond one decidable step the report is
 two-sided: "characterized class inside bounded class" must hold, while the
 reverse containment may legitimately fail and is reported as a caveat with
 witnesses.
+
+Claims are data.  A suite's claims are its rows of the orthogonal ladder
+(``_LADDER``, or the ``_LEMMA21`` words of it), then its rows of ``_SWEEPS``
+("lifting against an archetype = a predicate", swept over a universe), then
+its rows of ``_CHECKS`` (a named check function and its arguments), in table
+order.  One runner, ``_run_claims``, times every claim.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from ._parallel import pmap
@@ -120,20 +127,30 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _claim(claim_id, anchor, fn) -> ClaimResult:
-    start = time.perf_counter()
-    status, detail, cxs = fn()
-    return ClaimResult(
-        claim_id, anchor, status, detail, tuple(cxs[:MAX_LISTED]),
-        time.perf_counter() - start,
-    )
-
-
-def _verdict(bad: list, total: int, subject: str, caveat: bool = False):
-    if not bad:
-        return "pass", f"0 counterexamples over {total} {subject}", []
-    status = "caveat" if caveat else "fail"
+def _verdict(bad: list, total: int, subject: str):
+    status = "fail" if bad else "pass"
     return status, f"{len(bad)} counterexamples over {total} {subject}", bad
+
+
+class _Run:
+    """One suite run: its bound, its pool size, and the mlambda left class,
+    swept by the first claim that needs it."""
+
+    def __init__(self, n: int, jobs: int):
+        self.n = n
+        self.jobs = jobs
+
+    @cached_property
+    def left(self) -> list[int]:
+        """Universe indices of the bounded left class of the zigzag collapse."""
+        u = get_universe(self.n)
+        flags = pmap(lambda k: lifts_bool(u.map_at(k), M_TO_LAMBDA), range(len(u)), self.jobs)
+        return [k for k, ok in enumerate(flags) if ok]
+
+    @cached_property
+    def discrete_left(self) -> list[int]:
+        u = get_universe(self.n)
+        return [k for k in self.left if discrete(u.map_at(k).src)]
 
 
 # -- orthogonal ladders ---------------------------------------------------------
@@ -161,19 +178,8 @@ def _automatic_sections(f: CMap) -> bool:
     return surjective(f) and reflects_rel(f)
 
 
-_LADDER_FIRST = (
-    ("r", surjective, "right class of the empty-to-point map = surjections"),
-    ("rl", _summand_discrete,
-     "rl class = clopen summand inclusions with discrete complement"),
-    ("rll", pi0_surjective,
-     "rll class = maps hitting every component of the codomain"),
-    ("rllr", _summand_any, "rllr class = clopen summand inclusions"),
-    ("rr", subset_inclusion,
-     "rr class = subset inclusions (injective, induced topology)"),
-    ("lrrrl", quotient_map, "lrrrl class = quotient maps"),
-)
-
-_LADDER_FULL = (
+# (word, predicate, anchor): the classes of the empty-to-point map, appendix 3.2
+_LADDER = (
     ("r", surjective, "right class = surjections"),
     ("l", _nonempty_or_empty_pair,
      "left class = maps with nonempty domain, plus the empty identity"),
@@ -193,377 +199,301 @@ _LADDER_FULL = (
     ("lrrrl", quotient_map, "lrrrl class = quotient maps"),
 )
 
-
-def _ladder_claim(prefix, word, pred, anchor, n, jobs) -> ClaimResult:
-    def run():
-        u = get_universe(n)
-        cls = relative_orthogonal([EMPTY_TO_POINT], word, n, jobs=jobs)
-        in_class = set(cls.indices)
-        missing = []
-        extra = []
-        for k in range(len(u)):
-            m = u.map_at(k)
-            p = pred(m)
-            if p and k not in in_class:
-                missing.append(render(m))
-            elif not p and k in in_class:
-                extra.append(render(m))
-        if missing:
-            return (
-                "fail",
-                f"{len(missing)} characterized maps missing from the bounded "
-                f"class (plus {len(extra)} extra members) over {len(u)} maps",
-                missing + extra,
-            )
-        if extra:
-            status = "caveat" if not cls.exact else "fail"
-            note = cls.caveat or "single-step class is exact"
-            return (
-                status,
-                f"bounded class has {len(extra)} members beyond the "
-                f"characterization over {len(u)} maps; {note}",
-                extra,
-            )
-        return "pass", f"exact match over {len(u)} maps", []
-
-    return _claim(f"{prefix}.{word}", anchor, run)
+# lemma 2.1's words, in its order, and the two anchors it words differently
+_LEMMA21 = ("r", "rl", "rll", "rllr", "rr", "lrrrl")
+_LEMMA21_ANCHORS = {
+    "r": "right class of the empty-to-point map = surjections",
+    "rr": "rr class = subset inclusions (injective, induced topology)",
+}
 
 
-def suite_lemma21(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    n = 3 if n is None else n
-    return n, [
-        _ladder_claim("ladder", word, pred, anchor, n, jobs)
-        for word, pred, anchor in _LADDER_FIRST
-    ]
-
-
-def suite_appendix32(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    n = 3 if n is None else n
-    claims = [
-        _ladder_claim("ladder", word, pred, anchor, n, jobs)
-        for word, pred, anchor in _LADDER_FULL
-    ]
-
-    def collapse_claim(arch, tag):
-        def run():
-            u = get_universe(n)
-            cls = relative_orthogonal([arch], "l", n, jobs=jobs)
-            in_class = set(cls.indices)
-            bad = [
-                render(u.map_at(k))
-                for k in range(len(u))
-                if (k in in_class) != subset_inclusion(u.map_at(k))
-            ]
-            return _verdict(bad, len(u), "maps")
-
-        return _claim(
-            f"subsets.via_{tag}_collapse",
-            "left lifting against the 3-to-1 collapse decides subset inclusions",
-            run,
+def _ladder(run: _Run, word: str, pred: Callable):
+    u = get_universe(run.n)
+    cls = relative_orthogonal([EMPTY_TO_POINT], word, run.n, jobs=run.jobs)
+    in_class = set(cls.indices)
+    missing = []
+    extra = []
+    for k in range(len(u)):
+        m = u.map_at(k)
+        p = pred(m)
+        if p and k not in in_class:
+            missing.append(render(m))
+        elif not p and k in in_class:
+            extra.append(render(m))
+    if missing:
+        return (
+            "fail",
+            f"{len(missing)} characterized maps missing from the bounded "
+            f"class (plus {len(extra)} extra members) over {len(u)} maps",
+            missing + extra,
         )
-
-    claims.append(collapse_claim(SUBSET_ARCHETYPE_FWD, "fwd"))
-    claims.append(collapse_claim(SUBSET_ARCHETYPE_BWD, "bwd"))
-    return n, claims
+    if extra:
+        status = "caveat" if not cls.exact else "fail"
+        note = cls.caveat or "single-step class is exact"
+        return (
+            status,
+            f"bounded class has {len(extra)} members beyond the "
+            f"characterization over {len(u)} maps; {note}",
+            extra,
+        )
+    return "pass", f"exact match over {len(u)} maps", []
 
 
 # -- single-step equivalence sweeps ---------------------------------------------
 
+# (suite, claim id, anchor, side, archetype, predicate, subject): every item
+# of the universe lifts against the archetype ("l": item on the left, "r": on
+# the right) exactly when the predicate holds.  Items are the maps of the
+# n-universe, or for "spaces" the spaces of enumerate_spaces(n), lifted as the
+# map from the empty space.
+_SWEEPS = (
+    ("appendix32", "subsets.via_fwd_collapse",
+     "left lifting against the 3-to-1 collapse decides subset inclusions",
+     "l", SUBSET_ARCHETYPE_FWD, subset_inclusion, "maps"),
+    ("appendix32", "subsets.via_bwd_collapse",
+     "left lifting against the 3-to-1 collapse decides subset inclusions",
+     "l", SUBSET_ARCHETYPE_BWD, subset_inclusion, "maps"),
+    ("closed_proper", "closed_iff_open_point_lifting",
+     "a map of finite spaces is closed (= proper) iff the open-point "
+     "inclusion lifts against it",
+     "r", OPEN_POINT_INCL, closed_map, "maps"),
+    ("normality", "normal_iff_empty_lifting",
+     "a space is normal iff the map from the empty space lifts against "
+     "the five-to-three zigzag collapse",
+     "l", M_TO_LAMBDA, normal, "spaces"),
+    ("figure2", "dense_image",
+     "left lifting against the closed-point inclusion = dense image",
+     "l", DENSE_ARCHETYPE, dense_image, "maps"),
+    ("figure2", "injective",
+     "left lifting against the indiscrete collapse = injectivity",
+     "l", INJECTIVE_ARCHETYPE, injective, "maps"),
+    ("figure2", "induced_topology",
+     "left lifting against the Sierpinski collapse = induced topology",
+     "l", PULLBACK_ARCHETYPE, induced_topology, "maps"),
+    ("figure2", "disjoint_closures",
+     "left lifting against the zigzag collapse-to-point = disjoint closed "
+     "pairs extend with exact preimages",
+     "l", DISJOINT_CLOSURES_ARCHETYPE, closed_pair_extension, "maps"),
+)
 
-def _equivalence_sweep(u, map_on_left, arch, pred, jobs):
-    """Indices where lifting against ``arch`` disagrees with ``pred``."""
 
-    def check(k: int) -> bool:
-        m = u.map_at(k)
-        if map_on_left:
-            return lifts_bool(m, arch) == pred(m)
-        return lifts_bool(arch, m) == pred(m)
+def _sweep(run: _Run, side: str, arch: CMap, pred: Callable, subject: str):
+    if subject == "spaces":
+        spaces = enumerate_spaces(run.n)
+        total, item = len(spaces), spaces.__getitem__
+    else:
+        u = get_universe(run.n)
+        total, item = len(u), u.map_at
 
-    flags = pmap(check, range(len(u)), jobs)
-    return [k for k, ok in enumerate(flags) if not ok]
+    def agrees(k: int) -> bool:
+        x = item(k)
+        f = CMap(EMPTY, x, {}) if subject == "spaces" else x
+        return (lifts_bool(f, arch) if side == "l" else lifts_bool(arch, f)) == pred(x)
+
+    flags = pmap(agrees, range(total), run.jobs)
+    bad = [render(item(k)) for k, ok in enumerate(flags) if not ok]
+    return _verdict(bad, total, subject)
 
 
-def suite_closed_proper(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    n = 4 if n is None else n
+# -- single checks ----------------------------------------------------------------
 
-    def run():
-        u = get_universe(n)
-        bad = _equivalence_sweep(u, False, OPEN_POINT_INCL, closed_map, jobs)
-        return _verdict([render(u.map_at(k)) for k in bad], len(u), "maps")
 
-    return n, [
-        _claim(
-            "closed_iff_open_point_lifting",
-            "a map of finite spaces is closed (= proper) iff the open-point "
-            "inclusion lifts against it",
-            run,
-        )
+def _closed_archetype(run: _Run, arch: CMap):
+    ok = closed_map(arch)
+    return "pass" if ok else "fail", render(arch), [] if ok else [render(arch)]
+
+
+def _two_routes(run: _Run):
+    spaces = enumerate_spaces(run.n)
+    bad = [
+        render(x)
+        for x in spaces
+        if hereditarily_normal(x) != hereditarily_normal_by_separation(x)
     ]
+    return _verdict(bad, len(spaces), "spaces")
 
 
-def suite_archetypes(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    archetypes = (
-        ("disjoint_closures", DISJOINT_CLOSURES_ARCHETYPE),
-        ("injective", INJECTIVE_ARCHETYPE),
-        ("pullback_topology", PULLBACK_ARCHETYPE),
-        ("dense_image", DENSE_ARCHETYPE),
+def _left_lifts_sub(run: _Run, k: int):
+    u, g, left = get_universe(run.n), sub(k), run.left
+    flags = pmap(lambda j: lifts_bool(u.map_at(j), g), left, run.jobs)
+    bad = [render(u.map_at(j)) for j, ok in zip(left, flags) if not ok]
+    return _verdict(bad, len(left), "left-class maps")
+
+
+def _discrete_members(run: _Run, restrict: Optional[Callable]):
+    """Discrete-domain left-class members whose codomain passes ``restrict``."""
+    u = get_universe(run.n)
+    return [k for k in run.discrete_left if restrict is None or restrict(u.map_at(k).dst)]
+
+
+def _discrete_claim(run: _Run, pred: Callable, restrict: Optional[Callable], subject: str):
+    u = get_universe(run.n)
+    eligible = _discrete_members(run, restrict)
+    bad = [render(u.map_at(k)) for k in eligible if not pred(u.map_at(k))]
+    return _verdict(bad, len(eligible), subject)
+
+
+def _closed_into_hn(run: _Run):
+    u = get_universe(run.n)
+    eligible = _discrete_members(run, hereditarily_normal)
+    bad = [render(u.map_at(k)) for k in eligible if not closed_map(u.map_at(k))]
+    if not bad:
+        return "pass", f"0 counterexamples over {len(eligible)} maps", []
+    return (
+        "caveat",
+        f"{len(bad)} non-closed members over {len(eligible)} maps: the "
+        "closed-subset reading needs a T0 codomain at finite scale "
+        "(finite Hausdorff degenerates to discrete); see the T0 claim",
+        bad,
     )
-    claims = []
-    for tag, arch in archetypes:
-        def run(arch=arch):
-            ok = closed_map(arch)
-            return (
-                "pass" if ok else "fail",
-                render(arch),
-                [] if ok else [render(arch)],
-            )
-
-        claims.append(
-            _claim(f"archetype_closed.{tag}", "the archetype map is closed", run)
-        )
-    return 0, claims
 
 
-def suite_normality(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    n = 5 if n is None else n
-
-    def run_equiv():
-        spaces = enumerate_spaces(n)
-
-        def check(k: int) -> bool:
-            x = spaces[k]
-            return lifts_bool(CMap(EMPTY, x, {}), M_TO_LAMBDA) == normal(x)
-
-        flags = pmap(check, range(len(spaces)), jobs)
-        bad = [render(spaces[k]) for k, ok in enumerate(flags) if not ok]
-        return _verdict(bad, len(spaces), "spaces")
-
-    def run_hn():
-        spaces = enumerate_spaces(n)
-        bad = [
-            render(x)
-            for x in spaces
-            if hereditarily_normal(x) != hereditarily_normal_by_separation(x)
-        ]
-        return _verdict(bad, len(spaces), "spaces")
-
-    return n, [
-        _claim(
-            "normal_iff_empty_lifting",
-            "a space is normal iff the map from the empty space lifts against "
-            "the five-to-three zigzag collapse",
-            run_equiv,
-        ),
-        _claim(
-            "hereditarily_normal_two_routes",
-            "hereditary normality via subspaces agrees with the "
-            "separated-pairs characterization",
-            run_hn,
-        ),
-    ]
+def _subdivisions(run: _Run):
+    bad = []
+    for k in range(1, 5):
+        s = sub(k)  # construction already enforces monotonicity
+        if not surjective(s) or not quotient_map(s):
+            bad.append(render(s))
+    return _verdict(bad, 4, "subdivision maps")
 
 
-def suite_mlambda(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    n = 4 if n is None else n
+def _retract(run: _Run):
+    readings = (
+        ("displayed (fine zigzag of 4 cells onto 2)", sub(2)),
+        ("text (fine zigzag of 16 cells onto 4)", compose(sub(8), sub(4))),
+    )
+    outcome = []
+    witnesses = 0
+    for tag, g in readings:
+        w = is_retract_of(LAMBDA_TO_POINT, g)
+        if w is not None and w.check(LAMBDA_TO_POINT, g):
+            witnesses += 1
+            outcome.append(f"{tag}: witness found and verified")
+        else:
+            outcome.append(f"{tag}: no witness")
+    return "pass" if witnesses else "fail", "; ".join(outcome), []
+
+
+def _factorization(run: _Run):
+    n, jobs = run.n, run.jobs
     u = get_universe(n)
+    left = relative_orthogonal([M_TO_LAMBDA], "l", n, jobs=jobs)
+    right = relative_orthogonal([M_TO_LAMBDA], "lr", n, jobs=jobs)
 
-    def member(k: int) -> bool:
-        return lifts_bool(u.map_at(k), M_TO_LAMBDA)
+    def factors(k: int) -> bool:
+        f = u.map_at(k)
+        pair = bounded_factor(f, left, right)
+        return pair is not None and compose(*pair) == f
 
-    flags = pmap(member, range(len(u)), jobs)
-    left = [k for k, ok in enumerate(flags) if ok]
-
-    def run_sub(g):
-        def run():
-            def check(k: int) -> bool:
-                return lifts_bool(u.map_at(k), g)
-
-            sub_flags = pmap(check, left, jobs)
-            bad = [render(u.map_at(k)) for k, ok in zip(left, sub_flags) if not ok]
-            return _verdict(bad, len(left), "left-class maps")
-
-        return run
-
-    disc = [k for k in left if discrete(u.map_at(k).src)]
-
-    def run_dir(pred, restrict, subject):
-        def run():
-            eligible = [k for k in disc if restrict(u.map_at(k).dst)]
-            bad = [render(u.map_at(k)) for k in eligible if not pred(u.map_at(k))]
-            return _verdict(bad, len(eligible), subject)
-
-        return run
-
-    def run_closed_hn():
-        eligible = [k for k in disc if hereditarily_normal(u.map_at(k).dst)]
-        bad = [render(u.map_at(k)) for k in eligible if not closed_map(u.map_at(k))]
-        if not bad:
-            return "pass", f"0 counterexamples over {len(eligible)} maps", []
-        return (
-            "caveat",
-            f"{len(bad)} non-closed members over {len(eligible)} maps: the "
-            "closed-subset reading needs a T0 codomain at finite scale "
-            "(finite Hausdorff degenerates to discrete); see the T0 claim",
-            bad,
-        )
-
-    claims = [
-        _claim(
-            "left_class_lifts_one_step_subdivision",
-            "every member of the bounded left class of the zigzag collapse "
-            "lifts against the one-step subdivision",
-            run_sub(sub(1)),
-        ),
-        _claim(
-            "left_class_lifts_two_step_subdivision",
-            "every member of the bounded left class lifts against the "
-            "subdivision of the doubled zigzag",
-            run_sub(sub(2)),
-        ),
-        _claim(
-            "discrete_domain_members_are_injective",
-            "left-class members with discrete domain are injective",
-            run_dir(injective, lambda x: True, "discrete-domain maps"),
-        ),
-        _claim(
-            "discrete_domain_members_have_induced_topology",
-            "left-class members with discrete domain carry the induced topology",
-            run_dir(induced_topology, lambda x: True, "discrete-domain maps"),
-        ),
-        _claim(
-            "discrete_domain_members_into_t0_are_closed",
-            "left-class members with discrete domain and T0 codomain are closed",
-            run_dir(closed_map, t0, "discrete-domain maps into T0"),
-        ),
-        _claim(
-            "discrete_domain_members_into_hn_are_closed",
-            "directional probe: with only hereditary normality downstairs "
-            "the closed-subset reading can fail off T0",
-            run_closed_hn,
-        ),
-    ]
-    return n, claims
-
-
-def suite_figure2(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    n = 4 if n is None else n
-    items = (
-        ("dense_image", DENSE_ARCHETYPE, dense_image,
-         "left lifting against the closed-point inclusion = dense image"),
-        ("injective", INJECTIVE_ARCHETYPE, injective,
-         "left lifting against the indiscrete collapse = injectivity"),
-        ("induced_topology", PULLBACK_ARCHETYPE, induced_topology,
-         "left lifting against the Sierpinski collapse = induced topology"),
-        ("disjoint_closures", DISJOINT_CLOSURES_ARCHETYPE, closed_pair_extension,
-         "left lifting against the zigzag collapse-to-point = disjoint closed "
-         "pairs extend with exact preimages"),
+    flags = pmap(factors, range(len(u)), jobs)
+    missing = [render(u.map_at(k)) for k, ok in enumerate(flags) if not ok]
+    return (
+        "caveat",
+        f"bounded factorization found for {sum(flags)}/{len(u)} maps "
+        "(exploration only: classes are bounded over-approximations and "
+        "middle objects are capped)",
+        missing,
     )
-    claims = []
-    for tag, arch, pred, anchor in items:
-        def run(arch=arch, pred=pred):
-            u = get_universe(n)
-            bad = _equivalence_sweep(u, True, arch, pred, jobs)
-            return _verdict([render(u.map_at(k)) for k in bad], len(u), "maps")
 
-        claims.append(_claim(tag, anchor, run))
+
+# (suite, claim id, anchor, check, *arguments after the run)
+_CHECKS = (
+    ("archetypes", "archetype_closed.disjoint_closures",
+     "the archetype map is closed", _closed_archetype, DISJOINT_CLOSURES_ARCHETYPE),
+    ("archetypes", "archetype_closed.injective",
+     "the archetype map is closed", _closed_archetype, INJECTIVE_ARCHETYPE),
+    ("archetypes", "archetype_closed.pullback_topology",
+     "the archetype map is closed", _closed_archetype, PULLBACK_ARCHETYPE),
+    ("archetypes", "archetype_closed.dense_image",
+     "the archetype map is closed", _closed_archetype, DENSE_ARCHETYPE),
+    ("normality", "hereditarily_normal_two_routes",
+     "hereditary normality via subspaces agrees with the "
+     "separated-pairs characterization", _two_routes),
+    ("mlambda", "left_class_lifts_one_step_subdivision",
+     "every member of the bounded left class of the zigzag collapse "
+     "lifts against the one-step subdivision", _left_lifts_sub, 1),
+    ("mlambda", "left_class_lifts_two_step_subdivision",
+     "every member of the bounded left class lifts against the "
+     "subdivision of the doubled zigzag", _left_lifts_sub, 2),
+    ("mlambda", "discrete_domain_members_are_injective",
+     "left-class members with discrete domain are injective",
+     _discrete_claim, injective, None, "discrete-domain maps"),
+    ("mlambda", "discrete_domain_members_have_induced_topology",
+     "left-class members with discrete domain carry the induced topology",
+     _discrete_claim, induced_topology, None, "discrete-domain maps"),
+    ("mlambda", "discrete_domain_members_into_t0_are_closed",
+     "left-class members with discrete domain and T0 codomain are closed",
+     _discrete_claim, closed_map, t0, "discrete-domain maps into T0"),
+    ("mlambda", "discrete_domain_members_into_hn_are_closed",
+     "directional probe: with only hereditary normality downstairs "
+     "the closed-subset reading can fail off T0", _closed_into_hn),
+    ("subdivision", "subdivisions_are_surjective_quotients",
+     "each subdivision map is a surjective quotient", _subdivisions),
+    ("retract", "zigzag_to_point_retract_of_subdivision",
+     "the zigzag collapse to a point is a retract of an iterated "
+     "subdivision under at least one indexing reading", _retract),
+    ("factorization", "bounded_factorization_coverage",
+     "every map factors as (left-class map, then right-orthogonal map) "
+     "within the bounded universe - coverage probe", _factorization),
+)
+
+
+# -- the runner ---------------------------------------------------------------------
+
+# default bound per suite, in report order; 0: the suite takes no bound
+_BOUNDS = {
+    "lemma21": 3,
+    "appendix32": 3,
+    "closed_proper": 4,
+    "archetypes": 0,
+    "normality": 5,
+    "mlambda": 4,
+    "figure2": 4,
+    "subdivision": 0,
+    "retract": 0,
+    "factorization": 3,
+}
+
+
+def _suite_rows(suite: str) -> list[tuple]:
+    """(claim id, anchor, check, arguments) of the suite's claims, in order."""
+    rows = []
+    ladder = {word: (pred, anchor) for word, pred, anchor in _LADDER}
+    words = {"lemma21": _LEMMA21, "appendix32": tuple(ladder)}.get(suite, ())
+    for word in words:
+        pred, anchor = ladder[word]
+        if suite == "lemma21":
+            anchor = _LEMMA21_ANCHORS.get(word, anchor)
+        rows.append((f"ladder.{word}", anchor, _ladder, (word, pred)))
+    for owner, claim_id, anchor, *args in _SWEEPS:
+        if owner == suite:
+            rows.append((claim_id, anchor, _sweep, tuple(args)))
+    for owner, claim_id, anchor, check, *args in _CHECKS:
+        if owner == suite:
+            rows.append((claim_id, anchor, check, tuple(args)))
+    return rows
+
+
+def _run_claims(suite: str, n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
+    default = _BOUNDS[suite]
+    if not default:
+        n = 0
+    elif n is None:
+        n = default
+    run = _Run(n, jobs)
+    claims = []
+    for claim_id, anchor, check, args in _suite_rows(suite):
+        start = time.perf_counter()
+        status, detail, cxs = check(run, *args)
+        claims.append(ClaimResult(
+            claim_id, anchor, status, detail, tuple(cxs[:MAX_LISTED]),
+            time.perf_counter() - start,
+        ))
     return n, claims
 
 
-def suite_subdivision(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    def run():
-        bad = []
-        for k in range(1, 5):
-            s = sub(k)  # construction already enforces monotonicity
-            if not surjective(s) or not quotient_map(s):
-                bad.append(render(s))
-        return _verdict(bad, 4, "subdivision maps")
-
-    return 0, [
-        _claim(
-            "subdivisions_are_surjective_quotients",
-            "each subdivision map is a surjective quotient",
-            run,
-        )
-    ]
-
-
-def suite_retract(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    def run():
-        readings = (
-            ("displayed (fine zigzag of 4 cells onto 2)", sub(2)),
-            ("text (fine zigzag of 16 cells onto 4)", compose(sub(8), sub(4))),
-        )
-        outcome = []
-        witnesses = 0
-        for tag, g in readings:
-            w = is_retract_of(LAMBDA_TO_POINT, g)
-            if w is not None and w.check(LAMBDA_TO_POINT, g):
-                witnesses += 1
-                outcome.append(f"{tag}: witness found and verified")
-            else:
-                outcome.append(f"{tag}: no witness")
-        status = "pass" if witnesses else "fail"
-        return status, "; ".join(outcome), []
-
-    return 0, [
-        _claim(
-            "zigzag_to_point_retract_of_subdivision",
-            "the zigzag collapse to a point is a retract of an iterated "
-            "subdivision under at least one indexing reading",
-            run,
-        )
-    ]
-
-
-def suite_factorization(n: Optional[int], jobs: int) -> tuple[int, list[ClaimResult]]:
-    n = 3 if n is None else n
-
-    def run():
-        u = get_universe(n)
-        left = relative_orthogonal([M_TO_LAMBDA], "l", n, jobs=jobs)
-        right = relative_orthogonal([M_TO_LAMBDA], "lr", n, jobs=jobs)
-
-        def check(k: int) -> bool:
-            f = u.map_at(k)
-            pair = bounded_factor(f, left, right)
-            if pair is None:
-                return False
-            i, p = pair
-            return compose(i, p) == f
-
-        flags = pmap(check, range(len(u)), jobs)
-        found = sum(flags)
-        missing = [render(u.map_at(k)) for k, ok in enumerate(flags) if not ok]
-        return (
-            "caveat",
-            f"bounded factorization found for {found}/{len(u)} maps "
-            "(exploration only: classes are bounded over-approximations and "
-            "middle objects are capped)",
-            missing,
-        )
-
-    return n, [
-        _claim(
-            "bounded_factorization_coverage",
-            "every map factors as (left-class map, then right-orthogonal map) "
-            "within the bounded universe - coverage probe",
-            run,
-        )
-    ]
-
-
-_SUITES: dict[str, Callable] = {
-    "lemma21": suite_lemma21,
-    "appendix32": suite_appendix32,
-    "closed_proper": suite_closed_proper,
-    "archetypes": suite_archetypes,
-    "normality": suite_normality,
-    "mlambda": suite_mlambda,
-    "figure2": suite_figure2,
-    "subdivision": suite_subdivision,
-    "retract": suite_retract,
-    "factorization": suite_factorization,
-}
+# per-suite callables (n, jobs) -> (bound used, claims), looked up per run
+_SUITES: dict[str, Callable] = {name: partial(_run_claims, name) for name in _BOUNDS}
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
@@ -576,22 +506,11 @@ def run_suite(name: str, n: Optional[int] = None, jobs: int = 1) -> SuiteReport:
         for sub_name, fn in _SUITES.items():
             used_n, sub_claims = fn(n, jobs)
             bound = max(bound, used_n)
-            claims.extend(
-                ClaimResult(
-                    f"{sub_name}.{c.claim_id}",
-                    c.anchor,
-                    c.status,
-                    c.detail,
-                    c.counterexamples,
-                    c.runtime,
-                )
-                for c in sub_claims
-            )
+            claims.extend(replace(c, claim_id=f"{sub_name}.{c.claim_id}") for c in sub_claims)
         return SuiteReport("all", bound, jobs, tuple(claims))
-    fn = _SUITES.get(name)
-    if fn is None:
+    if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    used_n, claims = fn(n, jobs)
+    used_n, claims = _SUITES[name](n, jobs)
     return SuiteReport(name, used_n, jobs, tuple(claims))

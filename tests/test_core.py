@@ -21,7 +21,6 @@ from ftop.space import (
     compose,
     coproduct,
     cylinder,
-    cylinder_by_quotient,
     identity,
     is_isomorphism,
     lam,
@@ -35,7 +34,7 @@ from ftop.space import (
     space_to_json,
     sub,
 )
-from ftop.universe import map_key, space_key
+from ftop.universe import enumerate_spaces, map_key, space_key
 
 
 def brute_closure(points, rel, subset):
@@ -196,8 +195,15 @@ class TestProductCoproductQuotient:
         with pytest.raises(SpaceError):
             quotient(SIERPINSKI, [["o", "c"], ["c"]])
 
+    def test_quotient_relation_matches_open_set_oracle(self):
+        # every set partition of every space with at most 5 points
+        for x in enumerate_spaces(5):
+            for blocks in set_partitions(list(x.points)):
+                q, _ = quotient(x, blocks)
+                assert q.rel == quotient_rel_by_opens(x, blocks)
+
     def test_quotient_topology_is_final_on_random_spaces(self):
-        # the in-constructor assertion compares against saturated opens <= 5
+        # a set is open in the quotient iff its preimage is open
         rng = random.Random(17)
         for _ in range(100):
             x = random_space(rng, max_points=5)
@@ -213,6 +219,62 @@ class TestProductCoproductQuotient:
                 u = [p for i, p in enumerate(q.points) if (m >> i) & 1]
                 pre = [p for p in x.points if proj.assign[p] in set(u)]
                 assert q.is_open(u) == x.is_open(pre)
+
+
+def set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+        yield [[first]] + part
+
+
+def quotient_rel_by_opens(x, blocks):
+    """Oracle: the quotient relation read off the quotient's open sets, the
+    families of blocks whose union is open in x.  A block is named by its
+    first point in x's order, as ``quotient`` names it."""
+    names = [min(c, key=x.points.index) for c in blocks]
+    k = len(blocks)
+    opens = [
+        m for m in range(1 << k)
+        if x.is_open([p for i in range(k) if (m >> i) & 1 for p in blocks[i]])
+    ]
+    return frozenset(
+        (names[a], names[b])
+        for a in range(k)
+        for b in range(k)
+        if all(not (o >> b) & 1 or (o >> a) & 1 for o in opens)
+    )
+
+
+def cylinder_by_quotient(p):
+    """Oracle: the mapping cylinder as a quotient of (Y x S) + B."""
+    y, b = p.src, p.dst
+    prod = product(y, SIERPINSKI)
+    pairs = prod._lazy["pairs"]
+    total = coproduct(prod, b)
+    # coproduct may have primed the b-part names; recover them positionally
+    bnames = total.points[len(prod.points):]
+    bname = dict(zip(b.points, bnames))
+    open_slice = {}
+    glue = {q: [bname[q]] for q in b.points}
+    for nm, (yp, s) in zip(prod.points, pairs):
+        if s == "o":
+            open_slice[yp] = nm
+        else:
+            glue[p.assign[yp]].append(nm)
+    classes = [[open_slice[yp]] for yp in y.points] + [glue[q] for q in b.points]
+    q_space, q_proj = quotient(total, classes)
+    proj = {}
+    for yp in y.points:
+        proj[q_proj.assign[open_slice[yp]]] = p.assign[yp]
+    for q in b.points:
+        proj[q_proj.assign[bname[q]]] = q
+    return q_space, CMap(q_space, b, proj)
 
 
 class TestCylinder:

@@ -1,4 +1,5 @@
 """Lifting solver against naive assignment-scan oracles."""
+import gc
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from ftop.lifting import (
     relative_orthogonal,
     squares,
 )
+from ftop.parser import parse_map
 from ftop.registry import (
     EMPTY,
     EMPTY_TO_POINT,
@@ -28,7 +30,7 @@ from ftop.registry import (
     POINT,
     SIERPINSKI,
 )
-from ftop.space import CMap, compose, identity, is_isomorphism, sub
+from ftop.space import CMap, Space, compose, identity, is_isomorphism, sub
 from ftop.universe import get_universe
 
 
@@ -215,6 +217,24 @@ class TestLifts:
             g = u.map_at(rng.randrange(len(u)))
             assert lifts_bool(iso, g)
 
+    def test_queries_leave_no_space_alive(self):
+        # fixed partners on both sides, fresh parsed maps: no cache may keep
+        # a query's spaces alive, or a long-lived process grows per query
+        def parsed_spaces_alive():
+            gc.collect()
+            return sum(
+                isinstance(o, Space) and any(p.startswith("q_") for p in o.points)
+                for o in gc.get_objects()
+            )
+
+        for k in range(40):
+            f = parse_map(f"{{q_{k}a<-q_{k}u->q_{k}b}}-->{{q_{k}a=q_{k}u->q_{k}b}}")
+            assert lifts(f, M_TO_LAMBDA).holds == lifts_bool(f, M_TO_LAMBDA)
+            assert lifts(OPEN_POINT_INCL, f).holds == lifts_bool(OPEN_POINT_INCL, f)
+        assert parsed_spaces_alive() == 2  # the last query's own two
+        del f
+        assert parsed_spaces_alive() == 0
+
 
 class TestRelativeOrthogonal:
     def test_r_class_is_surjections_at_3(self):
@@ -291,7 +311,7 @@ class TestRetract:
 
 class TestFactorSearch:
     def test_identity_factors_trivially(self):
-        got = factor_search(identity(SIERPINSKI), [M_TO_LAMBDA], "", 3)
+        got = factor_search(identity(SIERPINSKI), [M_TO_LAMBDA], "", 3, jobs=2)
         assert got is not None
         assert compose(got.i, got.p) == identity(SIERPINSKI)
 
