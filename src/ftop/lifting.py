@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterator, Optional, Sequence
 
 from ._solve import _search, enum_hom, first_solution, hom
@@ -53,24 +55,24 @@ class Square:
         return {"f": map_to_json(self.f), "phi": map_to_json(self.phi)}
 
 
-def _square_streams(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(phi, f) index-tuple pairs of all commutative squares, canonical order."""
-    A, X = i.src, i.dst
-    Y, B = g.src, g.dst
+def _squares(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int]]]:
+    """(phi, f, over) of every commutative square from i to g, in canonical
+    order, as index tuples; over[x] is g's fiber over phi(x), one per phi."""
+    A, Y, B = i.src, g.src, g.dst
     it = i.as_tuple()
     fib = _fibers(g)
-    nA = len(A.points)
-    for phi in hom(X, B):
-        cand = [fib[phi[it[a]]] for a in range(nA)]
+    for phi in hom(i.dst, B):
+        over = [fib[b] for b in phi]
+        cand = [over[x] for x in it]
         if 0 in cand:
             continue
         for f in enum_hom(A, Y, cand):
-            yield phi, f
+            yield phi, f, over
 
 
 def squares(i: CMap, g: CMap) -> list[Square]:
     """All commutative squares from i to g."""
-    return [_square(i, g, phi_t, f_t) for phi_t, f_t in _square_streams(i, g)]
+    return [_square(i, g, phi_t, f_t) for phi_t, f_t, _ in _squares(i, g)]
 
 
 def _square(i: CMap, g: CMap, phi_t, f_t) -> Square:
@@ -79,31 +81,24 @@ def _square(i: CMap, g: CMap, phi_t, f_t) -> Square:
     )
 
 
-def _fill_tuple(i: CMap, g: CMap, phi_t, f_t) -> tuple[int, ...] | None:
-    X, Y = i.dst, g.src
-    it = i.as_tuple()
-    fib = _fibers(g)
-    cand = [fib[b] for b in (phi_t[x] for x in range(len(X.points)))]
-    for a, fa in enumerate(f_t):
-        xa = it[a]
+def _fill_tuple(i: CMap, g: CMap, f_t, over: Sequence[int]) -> tuple[int, ...] | None:
+    """The least filler of the square (phi, f): f pinned onto phi's fibers."""
+    cand = list(over)
+    for xa, fa in zip(i.as_tuple(), f_t):
         cand[xa] &= 1 << fa
-    return first_solution(X, Y, cand)
+    return first_solution(i.dst, g.src, cand)
 
 
 def fill(sq: Square) -> Optional[CMap]:
     """A diagonal filler for the square, or None if none exists."""
-    t = _fill_tuple(sq.i, sq.g, sq.phi.as_tuple(), sq.f.as_tuple())
-    if t is None:
-        return None
-    return map_from_tuple(sq.i.dst, sq.g.src, t)
+    fib = _fibers(sq.g)
+    t = _fill_tuple(sq.i, sq.g, sq.f.as_tuple(), [fib[b] for b in sq.phi.as_tuple()])
+    return None if t is None else map_from_tuple(sq.i.dst, sq.g.src, t)
 
 
 def lifts_bool(i: CMap, g: CMap) -> bool:
     """Decide i ⧄ g, short-circuiting on the first unfillable square."""
-    for phi_t, f_t in _square_streams(i, g):
-        if _fill_tuple(i, g, phi_t, f_t) is None:
-            return False
-    return True
+    return all(_fill_tuple(i, g, f_t, over) is not None for _, f_t, over in _squares(i, g))
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,9 @@ def lifts(i: CMap, g: CMap) -> LiftCertificate:
     """Decide i ⧄ g with a full certificate (fillers or one counterexample)."""
     fillers = []
     count = 0
-    for phi_t, f_t in _square_streams(i, g):
+    for phi_t, f_t, over in _squares(i, g):
         count += 1
-        h = _fill_tuple(i, g, phi_t, f_t)
+        h = _fill_tuple(i, g, f_t, over)
         if h is None:
             return LiftCertificate(i, g, False, count, (), _square(i, g, phi_t, f_t))
         fillers.append(map_from_tuple(i.dst, g.src, h))
@@ -249,6 +244,27 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
     return rows
 
 
+def _class(b: CMap, side: str, n: int, jobs: int) -> int:
+    """Bitmask over the n-universe of the maps that lift against b (side
+    "l") or that b lifts against (side "r"); cached on b, so it dies with b."""
+    from .universe import get_universe
+    from ._parallel import pmap
+
+    key = ("class", side, n)
+    got = b._lazy.get(key)
+    if got is None:
+        u = get_universe(n)
+
+        def member(k: int) -> bool:
+            m = u.map_at(k)
+            return lifts_bool(m, b) if side == "l" else lifts_bool(b, m)
+
+        flags = pmap(member, range(len(u)), jobs)
+        got = sum(1 << k for k, ok in enumerate(flags) if ok)
+        b._lazy[key] = got
+    return got
+
+
 def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) -> BoundedClass:
     """Iterate left/right orthogonals of ``base`` inside the n-point universe.
 
@@ -258,7 +274,6 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     matrix and are capped at n <= 3.
     """
     from .universe import get_universe
-    from ._parallel import pmap
 
     if not word or set(word) - {"l", "r"}:
         raise ValueError("word must be a nonempty string over {l, r}")
@@ -268,45 +283,18 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
         raise CapacityError(
             f"multi-letter orthogonal words need the lifting matrix (n <= {MATRIX_MAX_N})"
         )
-    u = get_universe(n)
-    total = len(u)
-    first = word[0]
+    total = len(get_universe(n))
     base = tuple(base)
-
-    def _first_step(k: int) -> bool:
-        m = u.map_at(k)
-        if first == "r":
-            return all(lifts_bool(b, m) for b in base)
-        return all(lifts_bool(m, b) for b in base)
-
-    flags = pmap(_first_step, range(total), jobs)
-    cur = 0
-    for k, ok in enumerate(flags):
-        if ok:
-            cur |= 1 << k
+    everything = (1 << total) - 1
+    cur = reduce(and_, (_class(b, word[0], n, jobs) for b in base), everything)
     for letter in word[1:]:
         rows = lifting_matrix(n, jobs=jobs)
-        src = rows if letter == "r" else _transpose_bits(rows, total)
-        acc = (1 << total) - 1
-        m = cur
-        while m and acc:
-            low = m & -m
-            acc &= src[low.bit_length() - 1]
-            m ^= low
-        cur = acc
+        if letter == "r":  # the maps every member lifts against: AND of the rows
+            cur = reduce(and_, (row for k, row in enumerate(rows) if (cur >> k) & 1), everything)
+        else:  # the maps lifting against every member: rows that hold them all
+            cur = sum(1 << j for j, row in enumerate(rows) if row & cur == cur)
     indices = tuple(k for k in range(total) if (cur >> k) & 1)
     return BoundedClass(base, word, n, indices, exact=(len(word) == 1))
-
-
-def _transpose_bits(rows: Sequence[int], total: int) -> list[int]:
-    cols = [0] * total
-    for i, row in enumerate(rows):
-        m = row
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    return cols
 
 
 # -- retracts in the arrow category -------------------------------------------
@@ -352,33 +340,29 @@ def is_retract_of(f: CMap, g: CMap) -> Optional[RetractWitness]:
     A, B = f.src, f.dst
     C, D = g.src, g.dst
     ft, gt = f.as_tuple(), g.as_tuple()
-    fib_g = _fibers(g)
-    for s_cod in hom(B, D):
-        cand_s = [fib_g[s_cod[fa]] for fa in ft]
-        if 0 in cand_s:
+    # a section (s_dom, s_cod) is a commutative square from f to g
+    for s_cod, s_dom, _ in _squares(f, g):
+        # retraction on domains: pinned by r∘s = id
+        pins = [(c, a) for a, c in enumerate(s_dom)]
+        cand_r = _pinned(len(C.points), len(A.points), pins)
+        if cand_r is None:
             continue
-        for s_dom in enum_hom(A, C, cand_s):
-            # retraction on domains: pinned by r∘s = id
-            pins = [(c, a) for a, c in enumerate(s_dom)]
-            cand_r = _pinned(len(C.points), len(A.points), pins)
-            if cand_r is None:
+        for r_dom in _search(C, A, cand_r, C.linear_extension()):
+            # retraction on codomains: pinned by r'∘s' = id and f∘r = r'∘g
+            pins = [(d, b) for b, d in enumerate(s_cod)]
+            pins += [(d, ft[r_dom[c]]) for c, d in enumerate(gt)]
+            cand_r2 = _pinned(len(D.points), len(B.points), pins)
+            if cand_r2 is None:
                 continue
-            for r_dom in _search(C, A, cand_r, C.linear_extension()):
-                # retraction on codomains: pinned by r'∘s' = id and f∘r = r'∘g
-                pins = [(d, b) for b, d in enumerate(s_cod)]
-                pins += [(d, ft[r_dom[c]]) for c, d in enumerate(gt)]
-                cand_r2 = _pinned(len(D.points), len(B.points), pins)
-                if cand_r2 is None:
-                    continue
-                r_cod = first_solution(D, B, cand_r2)
-                if r_cod is None:
-                    continue
-                return RetractWitness(
-                    map_from_tuple(A, C, s_dom),
-                    map_from_tuple(B, D, s_cod),
-                    map_from_tuple(C, A, r_dom),
-                    map_from_tuple(D, B, r_cod),
-                )
+            r_cod = first_solution(D, B, cand_r2)
+            if r_cod is None:
+                continue
+            return RetractWitness(
+                map_from_tuple(A, C, s_dom),
+                map_from_tuple(B, D, s_cod),
+                map_from_tuple(C, A, r_dom),
+                map_from_tuple(D, B, r_cod),
+            )
     return None
 
 

@@ -5,10 +5,12 @@ One permutation scan, ``_scan``, finds the minimal adjacency encoding of a
 relation and every permutation achieving it; canonical keys, canonical
 labelings and automorphism groups all come from that one scan.  Maps between
 catalog spaces are reduced modulo independent domain/codomain automorphisms.
-Catalogs are cached on disk keyed by bound and code version.
+Catalogs are cached on disk keyed by bound and a digest of the package source.
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import itertools
 import json
 import os
@@ -35,10 +37,19 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "ftop"
 
 
-def _cache_file(stem: str) -> Path:
-    from . import __version__
+@lru_cache(maxsize=None)
+def _code_digest(root: Path = Path(__file__).parent) -> str:
+    """Digest of the package source and CACHE_SCHEMA: a cache file is read
+    back only by the code that wrote it."""
+    h = hashlib.sha256(f"schema {CACHE_SCHEMA}".encode())
+    for path in sorted(root.glob("*.py")):
+        h.update(f"\0{path.name}\0".encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
 
-    return cache_dir() / f"{stem}_v{__version__}_s{CACHE_SCHEMA}.json"
+
+def _cache_file(stem: str) -> Path:
+    return cache_dir() / f"{stem}_{_code_digest()}.json"
 
 
 def _load_cache(stem: str) -> Optional[dict]:
@@ -51,15 +62,18 @@ def _load_cache(stem: str) -> Optional[dict]:
 
 
 def _save_cache(stem: str, payload: dict) -> None:
+    """Write through a temp file of this process's own, so concurrent writers
+    never share one."""
     path = _cache_file(stem)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        tmp.replace(path)
-    except OSError:
-        pass  # caching is best-effort
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with contextlib.suppress(OSError):  # caching is best-effort
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "w") as fh:
+                json.dump(payload, fh)
+            tmp.replace(path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 # -- canonical forms ----------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 from ._parallel import pmap
 from .lifting import (
+    _class,
     bounded_factor,
     is_retract_of,
     lifts_bool,
@@ -143,9 +144,8 @@ class _Run:
     @cached_property
     def left(self) -> list[int]:
         """Universe indices of the bounded left class of the zigzag collapse."""
-        u = get_universe(self.n)
-        flags = pmap(lambda k: lifts_bool(u.map_at(k), M_TO_LAMBDA), range(len(u)), self.jobs)
-        return [k for k, ok in enumerate(flags) if ok]
+        cls = _class(M_TO_LAMBDA, "l", self.n, self.jobs)
+        return [k for k in range(len(get_universe(self.n))) if (cls >> k) & 1]
 
     @cached_property
     def discrete_left(self) -> list[int]:

@@ -34,6 +34,15 @@ from ftop.space import CMap, Space, compose, identity, is_isomorphism, sub
 from ftop.universe import get_universe
 
 
+def spaces_alive(prefix):
+    """Live spaces with a point named ``prefix...``, after a collection."""
+    gc.collect()
+    return sum(
+        isinstance(o, Space) and any(p.startswith(prefix) for p in o.points)
+        for o in gc.get_objects()
+    )
+
+
 def all_functions(src, dst):
     """Oracle: every total assignment src -> dst, monotone or not."""
     if not src.points:
@@ -220,20 +229,22 @@ class TestLifts:
     def test_queries_leave_no_space_alive(self):
         # fixed partners on both sides, fresh parsed maps: no cache may keep
         # a query's spaces alive, or a long-lived process grows per query
-        def parsed_spaces_alive():
-            gc.collect()
-            return sum(
-                isinstance(o, Space) and any(p.startswith("q_") for p in o.points)
-                for o in gc.get_objects()
-            )
-
         for k in range(40):
             f = parse_map(f"{{q_{k}a<-q_{k}u->q_{k}b}}-->{{q_{k}a=q_{k}u->q_{k}b}}")
             assert lifts(f, M_TO_LAMBDA).holds == lifts_bool(f, M_TO_LAMBDA)
             assert lifts(OPEN_POINT_INCL, f).holds == lifts_bool(OPEN_POINT_INCL, f)
-        assert parsed_spaces_alive() == 2  # the last query's own two
+        assert spaces_alive("q_") == 2  # the last query's own two
         del f
-        assert parsed_spaces_alive() == 0
+        assert spaces_alive("q_") == 0
+
+    def test_parsed_base_leaves_no_space_alive(self):
+        # the classes cached on a base die with it
+        base = parse_map("{b_a<-b_u->b_b}-->{b_a=b_u->b_b}")
+        for word in ("l", "r", "lr"):
+            cls = relative_orthogonal([base], word, 2)
+        assert spaces_alive("b_") == 2
+        del base, cls
+        assert spaces_alive("b_") == 0
 
 
 class TestRelativeOrthogonal:
@@ -277,9 +288,60 @@ class TestRelativeOrthogonal:
         assert not two.exact and "over-approximate" in two.caveat
 
     def test_jobs_do_not_change_results(self):
-        a = relative_orthogonal([EMPTY_TO_POINT], "r", 3, jobs=1)
-        b = relative_orthogonal([EMPTY_TO_POINT], "r", 3, jobs=2)
+        # a fresh base per call: a class cached on the base would answer the
+        # second call without running its pool
+        a = relative_orthogonal([parse_map("{}-->{o}")], "r", 3, jobs=1)
+        b = relative_orthogonal([parse_map("{}-->{o}")], "r", 3, jobs=2)
         assert a.indices == b.indices
+
+    @pytest.mark.parametrize(
+        "base",
+        [[EMPTY_TO_POINT], [M_TO_LAMBDA], [EMPTY_TO_POINT, OPEN_POINT_INCL]],
+        ids=["empty_to_point", "m_to_lambda", "two_maps"],
+    )
+    def test_words_match_the_definition(self, base):
+        # oracle: each letter keeps the universe maps with the required
+        # lifting against every member of the previous class, by direct calls
+        u = get_universe(2)
+        maps = [u.map_at(k) for k in range(len(u))]
+        memo = {}
+
+        def lifts_memo(i, g):
+            key = (id(i), id(g))
+            if key not in memo:
+                memo[key] = lifts_bool(i, g)
+            return memo[key]
+
+        for size in (1, 2, 3):
+            for word in map("".join, itertools.product("lr", repeat=size)):
+                members = list(base)
+                for letter in word:
+                    members = [
+                        m for m in maps
+                        if all(lifts_memo(m, c) if letter == "l" else lifts_memo(c, m)
+                               for c in members)
+                    ]
+                expect = tuple(k for k, m in enumerate(maps) if m in members)
+                assert relative_orthogonal(base, word, 2).indices == expect, word
+
+    def test_repeated_first_letter_is_not_swept_again(self, monkeypatch):
+        import ftop.lifting as lifting
+
+        base = parse_map("{}-->{o}")
+        first = relative_orthogonal([base], "l", 2)
+        lifting_matrix(2)
+        calls = []
+
+        def counting(i, g):
+            calls.append((i, g))
+            return lifts_bool(i, g)
+
+        monkeypatch.setattr(lifting, "lifts_bool", counting)
+        assert relative_orthogonal([base], "l", 2).indices == first.indices
+        relative_orthogonal([base], "lr", 2)
+        assert calls == []
+        relative_orthogonal([base], "r", 2)
+        assert len(calls) == len(get_universe(2))
 
     def test_matrix_agrees_with_direct_lifts(self):
         u = get_universe(2)

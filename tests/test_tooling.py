@@ -1,10 +1,15 @@
 """Properties of the source tree itself."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ftop
 
 SRC = Path(ftop.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_assert_statements_in_the_package():
@@ -16,3 +21,35 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# installs the benchmark's layer tracer, then counts a few small calls
+_TRACE = """
+import json
+from layers import Tracer
+tracer = Tracer()
+tracer.install()
+from ftop.lifting import lifts
+from ftop.registry import M_TO_LAMBDA, OPEN_POINT_INCL
+from ftop.universe import get_universe
+cert = lifts(OPEN_POINT_INCL, M_TO_LAMBDA)
+cert.recheck()
+get_universe(2)
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_benchmark_tracer_binds_to_the_package(tmp_path):
+    # the tracer binds private names (_fill_tuple, _load_cache, _SUITES, ...);
+    # renaming one must fail here, not first in a traced benchmark run
+    env = dict(os.environ, PYTHONPATH=f"{SRC.parent}{os.pathsep}{PERFBENCH}",
+               FTOP_CACHE_DIR=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", _TRACE], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout.splitlines()[-1])
+    assert metrics["lifting.lifts.calls"] == 1
+    assert metrics["lifting.recheck.calls"] == 1
+    assert metrics["lifting.squares"] > 0
+    assert metrics["universe.cache_save.calls"] > 0
+    assert metrics["universe.cache_bytes_written"] > 0

@@ -1,5 +1,8 @@
 """Universe enumeration against an independent labeled-count oracle."""
 import itertools
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -174,7 +177,7 @@ class TestDiskCache:
         monkeypatch.setattr(uni, "_SPACES_MEMO", {})
         monkeypatch.setattr(uni, "_UNIVERSE_MEMO", {})
         first = uni.get_universe(2)
-        assert (tmp_path / f"maps_n2_v0.1.0_s{uni.CACHE_SCHEMA}.json").exists()
+        assert (tmp_path / f"maps_n2_{uni._code_digest()}.json").exists()
         monkeypatch.setattr(uni, "_SPACES_MEMO", {})
         monkeypatch.setattr(uni, "_UNIVERSE_MEMO", {})
         second = uni.get_universe(2)
@@ -182,3 +185,57 @@ class TestDiskCache:
         assert [first.map_at(k) for k in range(len(first))] == [
             second.map_at(k) for k in range(len(second))
         ]
+
+    def test_cache_written_by_other_code_is_not_loaded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        monkeypatch.setattr(uni, "_code_digest", lambda: "0" * 16)
+        uni._save_cache("maps_n2", {"maps": []})
+        assert uni._load_cache("maps_n2") == {"maps": []}
+        monkeypatch.setattr(uni, "_code_digest", lambda: "1" * 16)
+        assert uni._load_cache("maps_n2") is None
+        monkeypatch.setattr(uni, "_UNIVERSE_MEMO", {})
+        assert len(uni.get_universe(2)) > 0  # rebuilt, not the stale empty list
+
+    def test_code_digest_follows_the_package_source(self, tmp_path):
+        import ftop.universe as uni
+
+        src = Path(uni.__file__).parent
+        digest = uni._code_digest.__wrapped__
+        copy = tmp_path / "ftop"
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        assert digest(copy) == digest(src) == uni._code_digest()
+        with open(copy / "lifting.py", "a") as fh:
+            fh.write("# edited\n")
+        assert digest(copy) != digest(src)
+
+    def test_save_writes_through_a_per_process_temp_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        moved = []
+        real = Path.replace
+
+        def spy(self, target):
+            moved.append(self.name)
+            return real(self, target)
+
+        monkeypatch.setattr(Path, "replace", spy)
+        uni._save_cache("probe", {"rows": ["0x1"]})
+        name = uni._cache_file("probe").name
+        assert moved == [f"{name}.{os.getpid()}.tmp"]
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert uni._load_cache("probe") == {"rows": ["0x1"]}
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        def disk_full(payload, fh):
+            fh.write("{")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(uni.json, "dump", disk_full)
+        uni._save_cache("probe", {"rows": []})
+        assert list(tmp_path.iterdir()) == []
