@@ -9,6 +9,8 @@ checking), so a dead end shows as soon as a related point runs out of
 candidates, not only when the search reaches it: a linear extension may put
 every open point of a long zigzag before any closed one.  ``enum_hom``/``hom``
 search in point order; ``first_solution`` searches X's linear extension.
+``hom`` and ``first_solution`` memoize their answers per space pair
+(``_table``); a memo dies with either space.
 """
 from __future__ import annotations
 
@@ -39,37 +41,48 @@ def _search(
     X: Space, Y: Space, cand: Sequence[int], order: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
     """Monotone assignments X -> Y within per-point candidate masks, in
-    lexicographic order of the values along ``order``."""
+    lexicographic order of the values along ``order``.
+
+    One frame with its own stack: ``masks[k]`` holds the candidate masks as
+    narrowed before step k, ``left[k]`` the values step k has still to try."""
     steps = _links(X, order)
     nX = len(steps)
+    if nX == 0:
+        yield ()
+        return
     upY, downY = Y.up, Y.down
     t = [0] * nX
-
-    def rec(k: int, masks: list[int]) -> Iterator[tuple[int, ...]]:
-        if k == nX:
-            yield tuple(t)
-            return
+    masks = [list(cand)] + [None] * (nX - 1)
+    left = [masks[0][steps[0][0]]] + [0] * (nX - 1)
+    last = nX - 1
+    k = 0
+    while k >= 0:
+        mask = left[k]
+        if not mask:
+            k -= 1
+            continue
+        low = mask & -mask
+        left[k] = mask ^ low
         i, below, above = steps[k]
-        mask = masks[i]
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            t[i] = v
-            narrowed = masks
-            if below or above:
-                narrowed = masks[:]
-                row = upY[v]
-                for j in below:
-                    narrowed[j] &= row
-                row = downY[v]
-                for j in above:
-                    narrowed[j] &= row
-                if 0 in narrowed:  # some point has no candidate left
-                    continue
-            yield from rec(k + 1, narrowed)
-
-    return rec(0, list(cand))
+        v = low.bit_length() - 1
+        t[i] = v
+        narrowed = masks[k]
+        if below or above:
+            narrowed = narrowed[:]
+            row = upY[v]
+            for j in below:
+                narrowed[j] &= row
+            row = downY[v]
+            for j in above:
+                narrowed[j] &= row
+            if 0 in narrowed:  # some point has no candidate left
+                continue
+        if k == last:
+            yield tuple(t)
+            continue
+        k += 1
+        masks[k] = narrowed
+        left[k] = narrowed[steps[k][0]]
 
 
 def enum_hom(X: Space, Y: Space, cand: list[int] | None = None) -> Iterator[tuple[int, ...]]:
@@ -80,29 +93,42 @@ def enum_hom(X: Space, Y: Space, cand: list[int] | None = None) -> Iterator[tupl
     return _search(X, Y, cand, tuple(range(len(X.points))))
 
 
-def hom(X: Space, Y: Space) -> tuple[tuple[int, ...], ...]:
-    """All monotone assignments X -> Y, in lexicographic order.
-
-    Cached on X under Y's identity: equal spaces may list their points in
-    different orders, and the tuples follow that order.  The entry holds Y
-    weakly and is dropped when Y dies, so the cache keeps no space alive."""
-    key = ("hom", id(Y))
+def _table(X: Space, Y: Space, name: str) -> dict:
+    """The memo ``name`` for the pair (X, Y), kept on X under Y's identity:
+    equal spaces may list their points in different orders, and answers
+    follow that order.  The entry holds Y weakly and is dropped when Y dies,
+    so a memo dies with X or with Y and keeps no space alive."""
+    key = (name, id(Y))
     got = X._lazy.get(key)
-    if got is not None:
-        return got[1]
-    result = tuple(enum_hom(X, Y))
-    owner = weakref.ref(X)
+    if got is None:
+        owner = weakref.ref(X)
 
-    def drop(_):
-        x = owner()
-        if x is not None:
-            x._lazy.pop(key, None)
+        def drop(_):
+            x = owner()
+            if x is not None:
+                x._lazy.pop(key, None)
 
-    X._lazy[key] = (weakref.ref(Y, drop), result)
-    return result
+        got = X._lazy[key] = (weakref.ref(Y, drop), {})
+    return got[1]
 
 
-def first_solution(X: Space, Y: Space, cand: list[int]) -> tuple[int, ...] | None:
+def hom(X: Space, Y: Space) -> tuple[tuple[int, ...], ...]:
+    """All monotone assignments X -> Y, in lexicographic order (memoized per
+    space pair)."""
+    memo = _table(X, Y, "hom")
+    got = memo.get(None)
+    if got is None:
+        got = memo[None] = tuple(enum_hom(X, Y))
+    return got
+
+
+def first_solution(X: Space, Y: Space, cand: Sequence[int]) -> tuple[int, ...] | None:
     """The least monotone assignment under candidate masks along X's linear
-    extension, or None."""
-    return next(_search(X, Y, cand, X.linear_extension()), None)
+    extension, or None (memoized per space pair on the masks' contents)."""
+    memo = _table(X, Y, "first")
+    key = tuple(cand)
+    try:
+        return memo[key]
+    except KeyError:
+        got = memo[key] = next(_search(X, Y, key, X.linear_extension()), None)
+        return got

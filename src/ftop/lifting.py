@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -17,7 +18,9 @@ from typing import Iterator, Optional, Sequence
 
 from ._solve import _search, enum_hom, first_solution, hom
 from .errors import CapacityError, MapError
-from .space import CMap, Space, compose, identity, map_from_tuple, map_to_json
+from .space import (
+    CMap, Space, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
+)
 
 MATRIX_MAX_N = 3  # largest bound for the pairwise lifting matrix (multi-letter words)
 
@@ -211,6 +214,23 @@ class BoundedClass:
 
 
 _MATRIX_MEMO: dict[int, list[int]] = {}
+MATRIX_SAMPLE = 64  # entries of a loaded matrix re-decided by lifts_bool
+
+
+def _matrix_ok(u, rows: Sequence[int]) -> bool:
+    """Spot-check a lifting matrix read from disk.  An isomorphism lifts
+    against every map, so its row is all ones; and a fixed-seed sample of
+    entries must agree with ``lifts_bool``."""
+    full = (1 << len(u)) - 1
+    for k, (si, di, _) in enumerate(u.triples):
+        if si == di and rows[k] != full and is_isomorphism(u.map_at(k)):
+            return False
+    rng = random.Random(0)
+    for _ in range(MATRIX_SAMPLE):
+        i, j = rng.randrange(len(u)), rng.randrange(len(u))
+        if (rows[i] >> j) & 1 != lifts_bool(u.map_at(i), u.map_at(j)):
+            return False
+    return True
 
 
 def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
@@ -225,9 +245,12 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
         return got
     u = get_universe(n)
     cached = _load_cache(f"matrix_n{n}")
+    rows = None
     if cached is not None and len(cached.get("rows", ())) == len(u):
         rows = [int(h, 16) for h in cached["rows"]]
-    else:
+        if not _matrix_ok(u, rows):
+            rows = None
+    if rows is None:
         maps = [u.map_at(k) for k in range(len(u))]
 
         def _row(i: int) -> int:

@@ -25,6 +25,9 @@ from .space import CMap, Space, map_from_tuple
 SPACES_MAX_N = 6
 MAPS_MAX_N = 5
 CACHE_SCHEMA = 1
+# spaces per point count up to homeomorphism (OEIS A001930); a catalog read
+# from disk must match them
+SPACE_COUNTS = (1, 1, 3, 9, 33, 139, 718)
 
 _SPACES_MEMO: dict[int, tuple[Space, ...]] = {}
 _UNIVERSE_MEMO: dict[int, "Universe"] = {}
@@ -254,12 +257,16 @@ def enumerate_spaces(n: int) -> tuple[Space, ...]:
     if got is not None:
         return got
     cached = _load_cache(f"spaces_n{n}")
+    spaces = None
     if cached is not None:
         spaces = tuple(
             Space(item["points"], [tuple(p) for p in item["rel"]])
             for item in cached["spaces"]
         )
-    else:
+        want = [m for m in range(n + 1) for _ in range(SPACE_COUNTS[m])]
+        if [len(s.points) for s in spaces] != want:
+            spaces = None
+    if spaces is None:
         out: list[Space] = []
         for m in range(n + 1):
             out.extend(_spaces_of_size(m))

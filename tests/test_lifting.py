@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ftop._solve import first_solution
 from ftop.errors import CapacityError, MapError
 from ftop.lifting import (
     Square,
@@ -237,6 +238,18 @@ class TestLifts:
         del f
         assert spaces_alive("q_") == 0
 
+    def test_filler_memo_dies_with_the_query_space(self):
+        # the memo of first_solution sits on the long-lived domain X under
+        # the query space's identity; it must go when that space goes
+        X = M_TO_LAMBDA.dst
+        Y = parse_map("{m_a<-m_u->m_b}-->{m_a=m_u->m_b}").src
+        assert first_solution(X, Y, [(1 << len(Y.points)) - 1] * len(X.points))
+        key = ("first", id(Y))
+        assert key in X._lazy
+        del Y
+        assert spaces_alive("m_") == 0
+        assert key not in X._lazy
+
     def test_parsed_base_leaves_no_space_alive(self):
         # the classes cached on a base die with it
         base = parse_map("{b_a<-b_u->b_b}-->{b_a=b_u->b_b}")
@@ -342,6 +355,43 @@ class TestRelativeOrthogonal:
         assert calls == []
         relative_orthogonal([base], "r", 2)
         assert len(calls) == len(get_universe(2))
+
+    def test_zeroed_matrix_file_is_rebuilt(self, monkeypatch):
+        # an isomorphism's row must be all ones, so zeroed rows are not
+        # trusted: they are rebuilt and saved again
+        import ftop.lifting as lifting
+        from ftop.universe import _load_cache, _save_cache
+
+        zeros = ["0x0"] * len(get_universe(3))
+        _save_cache("matrix_n3", {"n": 3, "rows": zeros})
+        monkeypatch.setattr(lifting, "_MATRIX_MEMO", {})
+        cls = relative_orthogonal([parse_map("{}-->{o}")], "rr", 3, jobs=2)
+        assert len(cls.indices) == 67
+        assert _load_cache("matrix_n3")["rows"] != zeros
+
+    @pytest.mark.parametrize("fault", ["sampled entry", "isomorphism row"])
+    def test_matrix_file_failing_a_check_is_rebuilt(self, fault, monkeypatch):
+        import ftop.lifting as lifting
+        from ftop.universe import _load_cache, _save_cache
+
+        u = get_universe(2)
+        rows = lifting_matrix(2)
+        rng = random.Random(0)  # the load check's sample
+        sample = [(rng.randrange(len(u)), rng.randrange(len(u)))
+                  for _ in range(lifting.MATRIX_SAMPLE)]
+        bad = list(rows)
+        if fault == "sampled entry":
+            i, j = sample[0]
+            bad[i] ^= 1 << j
+        else:  # a row the sample never reads, so only the row check sees it
+            k = next(k for k, (si, di, _) in enumerate(u.triples)
+                     if si == di and is_isomorphism(u.map_at(k))
+                     and k not in {i for i, _ in sample})
+            bad[k] = 0
+        _save_cache("matrix_n2", {"n": 2, "rows": [hex(r) for r in bad]})
+        monkeypatch.setattr(lifting, "_MATRIX_MEMO", {})
+        assert lifting_matrix(2) == rows
+        assert _load_cache("matrix_n2")["rows"] == [hex(r) for r in rows]
 
     def test_matrix_agrees_with_direct_lifts(self):
         u = get_universe(2)

@@ -65,6 +65,53 @@ class TestSearchKernel:
             want = brute_force(X, Y, cand, ext)
             assert first_solution(X, Y, cand) == (want[0] if want else None)
 
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_deep_stacks_match_brute_force(self, size):
+        # domains of 5 and 6 points: the search's own stack grows past 4
+        rng = random.Random(size)
+        for _ in range(8):
+            X = random_space(rng, size)
+            Y = random_space(rng, rng.randint(2, 3))
+            full = (1 << len(Y.points)) - 1
+            cand = [full if rng.random() < 0.7 else rng.randint(1, full) for _ in X.points]
+            for order in (tuple(range(size)), X.linear_extension()):
+                assert list(_search(X, Y, cand, order)) == brute_force(X, Y, cand, order)
+            want = brute_force(X, Y, cand, X.linear_extension())
+            assert first_solution(X, Y, cand) == (want[0] if want else None)
+
+
+class TestFillerMemo:
+    def test_repeated_call_gives_the_same_answer(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            X, Y = random_space(rng, 4), random_space(rng, 3)
+            cand = [rng.randint(0, 7) for _ in X.points]
+            first = first_solution(X, Y, cand)
+            assert first_solution(X, Y, cand) == first
+            assert first_solution(X, Y, list(cand)) == first
+
+    def test_caller_may_mutate_its_masks_afterwards(self):
+        X = Space.from_arrows(["a", "b"], [("a", "b")])
+        Y = Space.from_arrows(["u", "v"], [("u", "v")])
+        cand = [0b11, 0b11]
+        assert first_solution(X, Y, cand) == (0, 0)
+        cand[0] = 0b10
+        assert first_solution(X, Y, cand) == (1, 1)
+        cand[0] = 0b11
+        assert first_solution(X, Y, cand) == (0, 0)
+
+    def test_equal_spaces_in_other_point_orders_do_not_share_entries(self):
+        # answers are index tuples in each space's own point order
+        X = Space.from_arrows(["a", "b"], [("a", "b")])
+        Y1 = Space.from_arrows(["u", "v"], [("u", "v")])
+        Y2 = Space.from_arrows(["v", "u"], [("u", "v")])
+        assert Y1 == Y2
+        cand = [0b11, 0b10]  # b pinned to the second point of the codomain
+        got = [first_solution(X, Y, cand) for Y in (Y1, Y2, Y1, Y2)]
+        want = [brute_force(X, Y, cand, X.linear_extension())[0] for Y in (Y1, Y2)]
+        assert want[0] != want[1]
+        assert got == want * 2
+
 
 class TestPermutationScan:
     def test_automorphisms_match_brute_force(self):

@@ -198,6 +198,19 @@ class TestDiskCache:
         monkeypatch.setattr(uni, "_UNIVERSE_MEMO", {})
         assert len(uni.get_universe(2)) > 0  # rebuilt, not the stale empty list
 
+    def test_spaces_file_missing_a_space_is_rebuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        monkeypatch.setattr(uni, "_SPACES_MEMO", {})
+        full = uni.enumerate_spaces(3)
+        payload = uni._load_cache("spaces_n3")
+        del payload["spaces"][5]
+        uni._save_cache("spaces_n3", payload)
+        monkeypatch.setattr(uni, "_SPACES_MEMO", {})
+        assert uni.enumerate_spaces(3) == full
+        assert len(uni._load_cache("spaces_n3")["spaces"]) == len(full)
+
     def test_code_digest_follows_the_package_source(self, tmp_path):
         import ftop.universe as uni
 
