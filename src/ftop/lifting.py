@@ -22,7 +22,8 @@ from .space import (
     CMap, Space, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
 )
 
-MATRIX_MAX_N = 3  # largest bound for the pairwise lifting matrix (multi-letter words)
+MATRIX_MAX_N = 3  # largest bound for multi-letter words and the pairwise lifting matrix
+STEP_BLOCK = 64  # universe maps per work item of a word step
 
 
 def monotone_maps(x: Space, y: Space) -> list[CMap]:
@@ -62,6 +63,8 @@ def _squares(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
     """(phi, f, over) of every commutative square from i to g, in canonical
     order, as index tuples; over[x] is g's fiber over phi(x), one per phi."""
     A, Y, B = i.src, g.src, g.dst
+    if A.points and not Y.points:
+        return  # there is no f: A -> Y, so no square
     it = i.as_tuple()
     fib = _fibers(g)
     for phi in hom(i.dst, B):
@@ -214,7 +217,21 @@ class BoundedClass:
 
 
 _MATRIX_MEMO: dict[int, list[int]] = {}
+_ISO_MEMO: dict[int, int] = {}
 MATRIX_SAMPLE = 64  # entries of a loaded matrix re-decided by lifts_bool
+
+
+def _isos(u) -> int:
+    """Bitmask of the isomorphisms of universe ``u``.  An isomorphism lifts
+    against every map and every map lifts against it, so it belongs to every
+    class."""
+    got = _ISO_MEMO.get(u.n)
+    if got is None:
+        got = _ISO_MEMO[u.n] = sum(
+            1 << k for k, (si, di, _) in enumerate(u.triples)
+            if si == di and is_isomorphism(u.map_at(k))
+        )
+    return got
 
 
 def _matrix_ok(u, rows: Sequence[int]) -> bool:
@@ -222,9 +239,9 @@ def _matrix_ok(u, rows: Sequence[int]) -> bool:
     against every map, so its row is all ones; and a fixed-seed sample of
     entries must agree with ``lifts_bool``."""
     full = (1 << len(u)) - 1
-    for k, (si, di, _) in enumerate(u.triples):
-        if si == di and rows[k] != full and is_isomorphism(u.map_at(k)):
-            return False
+    isos = _isos(u)
+    if any((isos >> k) & 1 and row != full for k, row in enumerate(rows)):
+        return False
     rng = random.Random(0)
     for _ in range(MATRIX_SAMPLE):
         i, j = rng.randrange(len(u)), rng.randrange(len(u))
@@ -234,7 +251,8 @@ def _matrix_ok(u, rows: Sequence[int]) -> bool:
 
 
 def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
-    """Pairwise lifting table over the n-universe: row i, bit j = m_i ⧄ m_j."""
+    """Pairwise lifting table over the n-universe: row i, bit j = m_i ⧄ m_j.
+    Cached on disk and checked on load; word steps do not read it."""
     from .universe import _load_cache, _save_cache, get_universe
     from ._parallel import pmap
 
@@ -288,13 +306,51 @@ def _class(b: CMap, side: str, n: int, jobs: int) -> int:
     return got
 
 
+def _step(u, cur: int, letter: str, jobs: int) -> int:
+    """One letter of a word after the first, as a bitmask over universe
+    ``u``: the maps that every member of ``cur`` lifts against (letter "r"),
+    or that lift against every member (letter "l").
+
+    Isomorphisms are skipped as members and kept as candidates without a
+    search.  A candidate's test stops at the first refuting member, and the
+    member that last refuted a candidate is tried first.  That order restarts
+    in each fixed block of ``STEP_BLOCK`` candidates, so verdicts and
+    ``lifts_bool`` calls are the same for every ``jobs``."""
+    from ._parallel import pmap
+
+    isos = _isos(u)
+    live = cur & ~isos
+    members = [u.map_at(k) for k in range(len(u)) if (live >> k) & 1]
+
+    def block(start: int) -> int:
+        order = list(members)
+        acc = 0
+        for j in range(start, min(start + STEP_BLOCK, len(u))):
+            if (isos >> j) & 1:
+                acc |= 1 << j
+                continue
+            m = u.map_at(j)
+            for pos, c in enumerate(order):
+                if not (lifts_bool(m, c) if letter == "l" else lifts_bool(c, m)):
+                    order.insert(0, order.pop(pos))
+                    break
+            else:
+                acc |= 1 << j
+        return acc
+
+    return sum(pmap(block, range(0, len(u), STEP_BLOCK), jobs))
+
+
 def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) -> BoundedClass:
     """Iterate left/right orthogonals of ``base`` inside the n-point universe.
 
     The word is read left to right; at each letter the new class is the set of
     universe maps with the required lifting against every member of the
-    current set.  Words of length >= 2 need the precomputed pairwise lifting
-    matrix and are capped at n <= 3.
+    current set.  The first letter sweeps the universe against the base
+    (``_class``); each later letter is one ``_step`` against the current
+    class.  Words of length >= 2 are capped at n <= 3.  For a single-map base
+    the class of every prefix is cached on the map, so words sharing a prefix
+    share its steps.
     """
     from .universe import get_universe
 
@@ -303,20 +359,18 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     if n > 4:
         raise CapacityError(f"map universe sweep at n={n}")
     if len(word) > 1 and n > MATRIX_MAX_N:
-        raise CapacityError(
-            f"multi-letter orthogonal words need the lifting matrix (n <= {MATRIX_MAX_N})"
-        )
-    total = len(get_universe(n))
+        raise CapacityError(f"multi-letter orthogonal words at n={n} (max {MATRIX_MAX_N})")
+    u = get_universe(n)
     base = tuple(base)
-    everything = (1 << total) - 1
-    cur = reduce(and_, (_class(b, word[0], n, jobs) for b in base), everything)
-    for letter in word[1:]:
-        rows = lifting_matrix(n, jobs=jobs)
-        if letter == "r":  # the maps every member lifts against: AND of the rows
-            cur = reduce(and_, (row for k, row in enumerate(rows) if (cur >> k) & 1), everything)
-        else:  # the maps lifting against every member: rows that hold them all
-            cur = sum(1 << j for j, row in enumerate(rows) if row & cur == cur)
-    indices = tuple(k for k in range(total) if (cur >> k) & 1)
+    memo = base[0]._lazy if len(base) == 1 else {}
+    cur = reduce(and_, (_class(b, word[0], n, jobs) for b in base), (1 << len(u)) - 1)
+    for end in range(2, len(word) + 1):
+        key = ("word", word[:end], n)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _step(u, cur, word[end - 1], jobs)
+        cur = got
+    indices = tuple(k for k in range(len(u)) if (cur >> k) & 1)
     return BoundedClass(base, word, n, indices, exact=(len(word) == 1))
 
 

@@ -134,12 +134,39 @@ def _verdict(bad: list, total: int, subject: str):
 
 
 class _Run:
-    """One suite run: its bound, its pool size, and the mlambda left class,
-    swept by the first claim that needs it."""
+    """One suite run: its bound, its pool size, and what its claims share,
+    computed by the first claim that needs it: the mlambda left class, and
+    the suite's ``_SWEEPS`` verdicts per subject."""
 
-    def __init__(self, n: int, jobs: int):
+    def __init__(self, suite: str, n: int, jobs: int):
+        self.suite = suite
         self.n = n
         self.jobs = jobs
+        self._sweeps: dict[str, tuple[tuple, list[int]]] = {}
+
+    def sweep(self, subject: str) -> tuple[tuple, list[int]]:
+        """The suite's ``_SWEEPS`` rows over ``subject`` as (side, archetype,
+        predicate), and per item of the subject a bitmask with bit r set when
+        the item agrees with row r; all rows in one pool."""
+        got = self._sweeps.get(subject)
+        if got is None:
+            rows = tuple(
+                (side, arch, pred) for owner, _, _, side, arch, pred, subj in _SWEEPS
+                if owner == self.suite and subj == subject
+            )
+            total, item = _items(self.n, subject)
+
+            def agreements(k: int) -> int:
+                x = item(k)
+                f = CMap(EMPTY, x, {}) if subject == "spaces" else x
+                bits = 0
+                for r, (side, arch, pred) in enumerate(rows):
+                    holds = lifts_bool(f, arch) if side == "l" else lifts_bool(arch, f)
+                    bits |= (holds == pred(x)) << r
+                return bits
+
+            got = self._sweeps[subject] = (rows, pmap(agreements, range(total), self.jobs))
+        return got
 
     @cached_property
     def left(self) -> list[int]:
@@ -277,21 +304,20 @@ _SWEEPS = (
 )
 
 
-def _sweep(run: _Run, side: str, arch: CMap, pred: Callable, subject: str):
+def _items(n: int, subject: str) -> tuple[int, Callable]:
+    """The number of items of a sweep subject, and item k of it."""
     if subject == "spaces":
-        spaces = enumerate_spaces(run.n)
-        total, item = len(spaces), spaces.__getitem__
-    else:
-        u = get_universe(run.n)
-        total, item = len(u), u.map_at
+        spaces = enumerate_spaces(n)
+        return len(spaces), spaces.__getitem__
+    u = get_universe(n)
+    return len(u), u.map_at
 
-    def agrees(k: int) -> bool:
-        x = item(k)
-        f = CMap(EMPTY, x, {}) if subject == "spaces" else x
-        return (lifts_bool(f, arch) if side == "l" else lifts_bool(arch, f)) == pred(x)
 
-    flags = pmap(agrees, range(total), run.jobs)
-    bad = [render(item(k)) for k, ok in enumerate(flags) if not ok]
+def _sweep(run: _Run, side: str, arch: CMap, pred: Callable, subject: str):
+    rows, bits = run.sweep(subject)
+    r = rows.index((side, arch, pred))
+    total, item = _items(run.n, subject)
+    bad = [render(item(k)) for k, b in enumerate(bits) if not (b >> r) & 1]
     return _verdict(bad, total, subject)
 
 
@@ -480,7 +506,7 @@ def _run_claims(suite: str, n: Optional[int], jobs: int) -> tuple[int, list[Clai
         n = 0
     elif n is None:
         n = default
-    run = _Run(n, jobs)
+    run = _Run(suite, n, jobs)
     claims = []
     for claim_id, anchor, check, args in _suite_rows(suite):
         start = time.perf_counter()

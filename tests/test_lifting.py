@@ -2,6 +2,8 @@
 import gc
 import itertools
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -55,6 +57,37 @@ def all_functions(src, dst):
 
 def is_monotone(src, dst, assign):
     return all((assign[a], assign[b]) in dst.rel for a, b in src.rel)
+
+
+def matrix_word(base, word, n, rows):
+    """Oracle: the universe indices of ``base``'s class for ``word``, the
+    first letter by direct lifts against the base, each later letter read
+    off the pairwise lifting matrix ``rows``."""
+    u = get_universe(n)
+    maps = [u.map_at(k) for k in range(len(u))]
+    everything = (1 << len(u)) - 1
+    side = word[0]
+    cur = sum(
+        1 << k for k, m in enumerate(maps)
+        if all(lifts_bool(m, b) if side == "l" else lifts_bool(b, m) for b in base)
+    )
+    for letter in word[1:]:
+        if letter == "r":  # the maps every member lifts against: AND of the rows
+            cur = reduce(and_, (row for k, row in enumerate(rows) if (cur >> k) & 1), everything)
+        else:  # the maps lifting against every member: rows that hold them all
+            cur = sum(1 << j for j, row in enumerate(rows) if row & cur == cur)
+    return tuple(k for k in range(len(u)) if (cur >> k) & 1)
+
+
+def words_up_to(size):
+    return ["".join(w) for k in range(1, size + 1) for w in itertools.product("lr", repeat=k)]
+
+
+BASES = {
+    "empty_to_point": [EMPTY_TO_POINT],
+    "m_to_lambda": [M_TO_LAMBDA],
+    "two_maps": [EMPTY_TO_POINT, OPEN_POINT_INCL],
+}
 
 
 def naive_fill_exists(sq):
@@ -122,6 +155,12 @@ class TestSquares:
                 if compose(f, g) == compose(i, phi):
                     count += 1
         assert len(squares(i, g)) == count
+
+    def test_no_squares_into_an_empty_domain(self):
+        # a nonempty A has no map into the empty domain of g
+        assert squares(OPEN_POINT_INCL, EMPTY_TO_POINT) == []
+        assert lifts_bool(M_TO_LAMBDA, EMPTY_TO_POINT)
+        assert len(squares(EMPTY_TO_POINT, EMPTY_TO_POINT)) == 1
 
     def test_square_validates_commutativity(self):
         f = monotone_maps(POINT, M)[0]
@@ -337,12 +376,31 @@ class TestRelativeOrthogonal:
                 expect = tuple(k for k, m in enumerate(maps) if m in members)
                 assert relative_orthogonal(base, word, 2).indices == expect, word
 
+    @pytest.mark.parametrize("word", ["rl", "lrr", "rllr"])
+    def test_jobs_do_not_change_word_steps(self, word):
+        a = relative_orthogonal([parse_map("{}-->{o}")], word, 3, jobs=1)
+        b = relative_orthogonal([parse_map("{}-->{o}")], word, 3, jobs=2)
+        assert a.indices == b.indices
+
+    def test_prefix_classes_are_kept_per_bound(self):
+        # one base across bounds, against a fresh base per bound
+        fresh = {n: relative_orthogonal([parse_map("{}-->{o}")], "rr", n).indices for n in (2, 3)}
+        base = parse_map("{}-->{o}")
+        for n in (2, 3, 2):
+            assert relative_orthogonal([base], "rr", n).indices == fresh[n]
+
+    @pytest.mark.parametrize("base", list(BASES), ids=list(BASES))
+    def test_words_match_the_matrix_at_2(self, base):
+        rows = lifting_matrix(2)
+        for word in words_up_to(5):
+            got = relative_orthogonal(BASES[base], word, 2).indices
+            assert got == matrix_word(BASES[base], word, 2, rows), word
+
     def test_repeated_first_letter_is_not_swept_again(self, monkeypatch):
         import ftop.lifting as lifting
 
         base = parse_map("{}-->{o}")
         first = relative_orthogonal([base], "l", 2)
-        lifting_matrix(2)
         calls = []
 
         def counting(i, g):
@@ -351,6 +409,11 @@ class TestRelativeOrthogonal:
 
         monkeypatch.setattr(lifting, "lifts_bool", counting)
         assert relative_orthogonal([base], "l", 2).indices == first.indices
+        assert calls == []
+        # the step after the cached first letter runs inside the universe
+        relative_orthogonal([base], "lr", 2)
+        assert calls and not any(base is i or base is g for i, g in calls)
+        calls.clear()
         relative_orthogonal([base], "lr", 2)
         assert calls == []
         relative_orthogonal([base], "r", 2)
@@ -365,9 +428,21 @@ class TestRelativeOrthogonal:
         zeros = ["0x0"] * len(get_universe(3))
         _save_cache("matrix_n3", {"n": 3, "rows": zeros})
         monkeypatch.setattr(lifting, "_MATRIX_MEMO", {})
-        cls = relative_orthogonal([parse_map("{}-->{o}")], "rr", 3, jobs=2)
-        assert len(cls.indices) == 67
-        assert _load_cache("matrix_n3")["rows"] != zeros
+        rows = lifting_matrix(3, jobs=2)
+        assert _load_cache("matrix_n3")["rows"] == [hex(r) for r in rows] != zeros
+        assert len(matrix_word([EMPTY_TO_POINT], "rr", 3, rows)) == 67
+
+    def test_words_match_the_matrix_at_3(self):
+        # after the test above, which leaves the n=3 matrix in the cache
+        from ftop.verify import _LADDER
+
+        rows = lifting_matrix(3, jobs=2)
+        words = dict.fromkeys([w for w, _, _ in _LADDER] + words_up_to(3))
+        for word in words:
+            got = relative_orthogonal([EMPTY_TO_POINT], word, 3, jobs=2).indices
+            assert got == matrix_word([EMPTY_TO_POINT], word, 3, rows), word
+        got = relative_orthogonal([M_TO_LAMBDA], "lr", 3, jobs=2).indices
+        assert got == matrix_word([M_TO_LAMBDA], "lr", 3, rows)
 
     @pytest.mark.parametrize("fault", ["sampled entry", "isomorphism row"])
     def test_matrix_file_failing_a_check_is_rebuilt(self, fault, monkeypatch):

@@ -63,3 +63,36 @@ def test_benchmark_tracer_binds_to_the_package(tmp_path):
     assert metrics["lifting.squares"] > 0
     assert metrics["universe.cache_save.calls"] > 0
     assert metrics["universe.cache_bytes_written"] > 0
+
+
+# the lifts_bool calls of one word step, with a fresh base at each jobs value
+_STEP_TRACE = """
+import json
+from layers import Tracer
+tracer = Tracer()
+tracer.install()
+from ftop.lifting import relative_orthogonal
+from ftop.parser import parse_map
+from ftop.universe import get_universe
+get_universe(3)
+runs = []
+for jobs in (1, 2):
+    before = tracer.metrics()
+    cls = relative_orthogonal([parse_map("{}-->{o}")], "rll", 3, jobs=jobs)
+    after = tracer.metrics()
+    runs.append([list(cls.indices)] + [after[k] - before[k] for k in (
+        "lifting.lifts_bool.calls", "lifting.squares", "parallel.pmap.forked_calls")])
+print(json.dumps(runs))
+"""
+
+
+def test_word_step_counts_do_not_depend_on_jobs():
+    env = dict(os.environ, PYTHONPATH=f"{SRC.parent}{os.pathsep}{PERFBENCH}")
+    out = subprocess.run([sys.executable, "-c", _STEP_TRACE], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    (idx1, calls1, squares1, forked1), (idx2, calls2, squares2, forked2) = json.loads(
+        out.stdout.splitlines()[-1])
+    assert forked1 == 0 and forked2 > 0  # the second run really used a pool
+    assert (idx1, calls1, squares1) == (idx2, calls2, squares2)
+    assert len(idx1) == 514 and calls1 > 0
