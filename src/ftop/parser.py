@@ -277,7 +277,7 @@ def _render_space_text(x: Space, label=None) -> str:
 
 def _render_map_text(f: CMap) -> str:
     src, dst = f.src, f.dst
-    assign = dict(f.assign)
+    assign = f.assign
     moving = [p for p in src.points if p in dst and assign[p] != p]
     if moving:
         taken = set(src.points) | set(dst.points)
@@ -292,7 +292,7 @@ def _render_map_text(f: CMap) -> str:
         newpts = [rename.get(p, p) for p in src.points]
         newrel = [(rename.get(a, a), rename.get(b, b)) for a, b in src.rel]
         src = Space(newpts, newrel)
-        assign = {rename.get(p, p): q for p, q in f.assign.items()}
+        assign = {rename.get(p, p): q for p, q in assign.items()}
     extras = {y: [] for y in dst.points}
     for p in src.points:
         if assign[p] != p:

@@ -5,15 +5,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ._solve import first_solution
-from .space import CMap, Space, _bits
+from .space import CMap, Space, _bits, _close
 
 
 def surjective(f: CMap) -> bool:
-    return len(set(f.assign.values())) == len(f.dst.points)
+    return len(set(f.as_tuple())) == len(f.dst.points)
 
 
 def injective(f: CMap) -> bool:
-    return len(set(f.assign.values())) == len(f.src.points)
+    return len(set(f.as_tuple())) == len(f.src.points)
 
 
 def _image_mask(f: CMap, src_mask: int) -> int:
@@ -67,10 +67,11 @@ def quotient_map(f: CMap) -> bool:
     transitive closure of the projected relation."""
     if not surjective(f):
         return False
-    proj = Space.from_arrows(
-        f.dst.points, [(f.assign[a], f.assign[b]) for a, b in f.src.rel]
-    )
-    return proj.rel == f.dst.rel
+    t = f.as_tuple()
+    up = [0] * len(f.dst.points)
+    for i, row in enumerate(f.src.up):
+        up[t[i]] |= _image_mask(f, row)
+    return _close(len(up), up) == list(f.dst.up)
 
 
 def admits_section(f: CMap) -> bool:
@@ -125,22 +126,19 @@ def closed_pair_extension(f: CMap) -> bool:
     """Every disjoint closed pair upstairs extends along f: the closures of
     the two images are disjoint downstairs and pull back exactly."""
     src, dst, t = f.src, f.dst, f.as_tuple()
-    closed = _closed_masks(src)
     n = len(src.points)
-    for a in range(len(closed)):
-        for b in range(len(closed)):
-            c1, c2 = closed[a], closed[b]
-            if c1 & c2:
-                continue
-            d1 = dst.closure_mask(_image_mask(f, c1))
-            d2 = dst.closure_mask(_image_mask(f, c2))
-            if d1 & d2:
-                return False
-            pre1 = sum(1 << i for i in range(n) if (d1 >> t[i]) & 1)
-            pre2 = sum(1 << i for i in range(n) if (d2 >> t[i]) & 1)
-            if pre1 != c1 or pre2 != c2:
-                return False
-    return True
+    ext = []
+    for c in _closed_masks(src):
+        d = dst.closure_mask(_image_mask(f, c))
+        # every closed set pairs with the empty one, so each must pull back
+        if sum(1 << i for i in range(n) if (d >> t[i]) & 1) != c:
+            return False
+        ext.append((c, d))
+    return not any(
+        c1 & c2 == 0 and d1 & d2
+        for a, (c1, d1) in enumerate(ext)
+        for c2, d2 in ext[a + 1:]
+    )
 
 
 # -- space predicates ----------------------------------------------------------

@@ -112,7 +112,7 @@ class Space:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Space):
             return NotImplemented
-        return self._pset == other._pset and self.rel == other.rel
+        return self is other or (self._pset == other._pset and self.rel == other.rel)
 
     def __hash__(self) -> int:
         return self._hash
@@ -276,10 +276,58 @@ def is_closed(space: Space, subset: Iterable[str]) -> bool:
     return space.is_closed(subset)
 
 
-class CMap:
-    """A continuous map of finite spaces: a monotone total assignment."""
+def _edges(x: Space) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i != j, of the relation, transitive ones included,
+    by i then j (cached).  Checking a map along them names the same first
+    offender as a walk over the whole relation."""
+    got = x._lazy.get("edges")
+    if got is None:
+        got = x._lazy["edges"] = tuple(
+            (i, j) for i in range(len(x.points)) for j in _bits(x.up[i]) if j != i
+        )
+    return got
 
-    __slots__ = ("src", "dst", "assign", "_hash", "_lazy")
+
+def _check_monotone(src: Space, dst: Space, t: tuple[int, ...]) -> None:
+    up = dst.up
+    for i, j in _edges(src):
+        if not (up[t[i]] >> t[j]) & 1:
+            sp, dp = src.points, dst.points
+            raise MapError(
+                f"not monotone: {sp[i]!r}->{sp[j]!r} in the domain but "
+                f"{dp[t[i]]!r}->{dp[t[j]]!r} fails in the codomain"
+            )
+
+
+_setattr = object.__setattr__
+
+
+def _set_slots(f: "CMap", src: Space, dst: Space, t: tuple[int, ...]) -> None:
+    _setattr(f, "src", src)
+    _setattr(f, "dst", dst)
+    _setattr(f, "_t", t)
+    _setattr(f, "_hash", None)
+    _setattr(f, "_lazy", {})
+
+
+def _cmap(src: Space, dst: Space, t: tuple[int, ...]) -> "CMap":
+    """The map with index tuple ``t``, already known to be monotone."""
+    f = object.__new__(CMap)
+    _set_slots(f, src, dst, t)
+    return f
+
+
+class CMap:
+    """A continuous map of finite spaces: a monotone total assignment.
+
+    The only stored form is the index tuple ``as_tuple()``: codomain point
+    indices aligned with ``src.points``.  ``assign`` is derived from it and
+    is a fresh ``{name: name}`` dict on every access, so editing that dict
+    never changes the map.  Maps are immutable and hashable; the hash is
+    taken on first use.
+    """
+
+    __slots__ = ("src", "dst", "_t", "_hash", "_lazy")
 
     def __init__(self, src: Space, dst: Space, assign: Mapping[str, str]):
         missing = [p for p in src.points if p not in assign]
@@ -291,45 +339,41 @@ class CMap:
         for p, q in assign.items():
             if q not in dst:
                 raise MapError(f"assignment sends {p!r} to unknown point {q!r}")
-        frozen = {p: assign[p] for p in src.points}
         di = dst._index
-        si = src._index
-        t = tuple(di[frozen[p]] for p in src.points)
-        for i, p in enumerate(src.points):
-            for j in _bits(src.up[i]):
-                if not (dst.up[t[i]] >> t[j]) & 1:
-                    raise MapError(
-                        f"not monotone: {p!r}->{src.points[j]!r} in the domain but "
-                        f"{frozen[p]!r}->{frozen[src.points[j]]!r} fails in the codomain"
-                    )
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "assign", frozen)
-        object.__setattr__(
-            self, "_hash", hash((src, dst, frozenset(frozen.items())))
-        )
-        object.__setattr__(self, "_lazy", {"tuple": t})
+        t = tuple(di[assign[p]] for p in src.points)
+        _check_monotone(src, dst, t)
+        _set_slots(self, src, dst, t)
 
     def __setattr__(self, name, value):
         raise AttributeError("CMap is immutable")
 
+    @property
+    def assign(self) -> dict[str, str]:
+        """A fresh ``{domain point: codomain point}`` dict, in domain order."""
+        dp = self.dst.points
+        return {p: dp[v] for p, v in zip(self.src.points, self._t)}
+
     def __call__(self, p: str) -> str:
-        q = self.assign.get(p)
-        if q is None:
+        k = self.src._index.get(p)
+        if k is None:
             raise MapError(f"{p!r} is not a point of the domain")
-        return q
+        return self.dst.points[self._t[k]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CMap):
             return NotImplemented
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and self.assign == other.assign
-        )
+        if self.src != other.src or self.dst != other.dst:
+            return False
+        if self.src.points == other.src.points and self.dst.points == other.dst.points:
+            return self._t == other._t
+        return self.assign == other.assign
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.src, self.dst, frozenset(self.assign.items())))
+            _setattr(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"CMap({self.src!r}, {self.dst!r}, {self.assign!r})"
@@ -342,37 +386,52 @@ class CMap:
 
     def as_tuple(self) -> tuple[int, ...]:
         """Codomain point indices aligned with ``src.points`` order."""
-        return self._lazy["tuple"]
+        return self._t
 
     def image(self) -> frozenset[str]:
-        return frozenset(self.assign.values())
+        dp = self.dst.points
+        return frozenset(dp[v] for v in self._t)
 
 
 def map_from_tuple(src: Space, dst: Space, t) -> CMap:
     """The map sending ``src.points[k]`` to ``dst.points[t[k]]`` (checked)."""
-    dp = dst.points
-    return CMap(src, dst, {p: dp[t[k]] for k, p in enumerate(src.points)})
+    t = tuple(t)
+    n, m = len(src.points), len(dst.points)
+    if len(t) != n:
+        raise MapError(f"index tuple has {len(t)} entries for a {n}-point domain")
+    if t and (min(t) < 0 or max(t) >= m):
+        k = next(k for k, v in enumerate(t) if not 0 <= v < m)
+        raise MapError(
+            f"index tuple sends {src.points[k]!r} to {t[k]}, outside a "
+            f"{m}-point codomain"
+        )
+    _check_monotone(src, dst, t)
+    return _cmap(src, dst, t)
 
 
 def identity(x: Space) -> CMap:
-    return CMap(x, x, {p: p for p in x.points})
+    return _cmap(x, x, tuple(range(len(x.points))))
 
 
 def compose(f: CMap, g: CMap) -> CMap:
-    """The composite "f then g" (requires f.dst == g.src)."""
+    """The composite "f then g" (requires f.dst == g.src).  Equal spaces may
+    list their points in other orders, so f's indices are renamed into g's."""
     if f.dst != g.src:
         raise MapError("compose: endpoints do not match")
-    return CMap(f.src, g.dst, {p: g.assign[q] for p, q in f.assign.items()})
+    gt, idx, fp = g._t, g.src._index, f.dst.points
+    return _cmap(f.src, g.dst, tuple(gt[idx[fp[v]]] for v in f._t))
 
 
 def is_isomorphism(f: CMap) -> bool:
-    if len(f.src.points) != len(f.dst.points):
+    n, t = len(f.src.points), f._t
+    if len(f.dst.points) != n or len(set(t)) != n:
         return False
-    if len(set(f.assign.values())) != len(f.dst.points):
-        return False
-    # inverse monotone: every codomain pair must pull back into rel
-    back = {q: p for p, q in f.assign.items()}
-    return all((back[a], back[b]) in f.src.rel for a, b in f.dst.rel)
+    # inverse monotone: every codomain pair must pull back into the domain
+    back = [0] * n
+    for i, v in enumerate(t):
+        back[v] = i
+    up = f.src.up
+    return all((up[back[a]] >> back[b]) & 1 for a, b in _edges(f.dst))
 
 
 # -- constructions ----------------------------------------------------------
@@ -420,8 +479,9 @@ def product_map(f: CMap, g: CMap) -> CMap:
     dst = product(f.dst, g.dst)
     spairs = src._lazy["pairs"]
     dindex = {pair: nm for nm, pair in zip(dst.points, dst._lazy["pairs"])}
+    fa, ga = f.assign, g.assign
     assign = {
-        nm: dindex[(f.assign[a], g.assign[b])]
+        nm: dindex[(fa[a], ga[b])]
         for nm, (a, b) in zip(src.points, spairs)
     }
     return CMap(src, dst, assign)
@@ -472,6 +532,7 @@ def cylinder(p: CMap) -> tuple[Space, CMap]:
     exactly the sets U + p^-1(V) + V with U open in Y and V open in B.
     """
     y, b = p.src, p.dst
+    pa = p.assign
     taken = set(y.points)
     ren = {}
     for q in b.points:
@@ -485,10 +546,10 @@ def cylinder(p: CMap) -> tuple[Space, CMap]:
         (yp, ren[q])
         for yp in y.points
         for q in b.points
-        if (p.assign[yp], q) in b.rel
+        if (pa[yp], q) in b.rel
     ]
     cyl = Space(points, rel)
-    proj = {yp: p.assign[yp] for yp in y.points}
+    proj = dict(pa)
     proj.update({ren[q]: q for q in b.points})
     return cyl, CMap(cyl, b, proj)
 
@@ -542,7 +603,7 @@ def map_to_json(f: CMap) -> dict:
     return {
         "src": space_to_json(f.src),
         "dst": space_to_json(f.dst),
-        "assign": dict(f.assign),
+        "assign": f.assign,
     }
 
 

@@ -25,6 +25,7 @@ from .space import CMap, Space, map_from_tuple
 SPACES_MAX_N = 6
 MAPS_MAX_N = 5
 CACHE_SCHEMA = 1
+_JSON_BLOCK = 64  # list items encoded per json.dumps call of a cache write
 # spaces per point count up to homeomorphism (OEIS A001930); a catalog read
 # from disk must match them
 SPACE_COUNTS = (1, 1, 3, 9, 33, 139, 718)
@@ -64,6 +65,24 @@ def _load_cache(stem: str) -> Optional[dict]:
         return None
 
 
+def _write_json(fh, payload: dict) -> None:
+    """Write exactly ``json.dumps(payload)`` (str keys), one block of list
+    items per ``dumps`` call.  ``json.dump`` would take the pure-Python
+    encoder; one string of the whole payload would add megabytes to the
+    peak RSS."""
+    fh.write("{")
+    for k, (key, value) in enumerate(payload.items()):
+        fh.write(f"{', ' if k else ''}{json.dumps(key)}: ")
+        if isinstance(value, list) and value:
+            for start in range(0, len(value), _JSON_BLOCK):
+                block = json.dumps(value[start:start + _JSON_BLOCK])[1:-1]
+                fh.write(f"{', ' if start else '['}{block}")
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value))
+    fh.write("}")
+
+
 def _save_cache(stem: str, payload: dict) -> None:
     """Write through a temp file of this process's own, so concurrent writers
     never share one."""
@@ -73,7 +92,7 @@ def _save_cache(stem: str, payload: dict) -> None:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w") as fh:
-                json.dump(payload, fh)
+                _write_json(fh, payload)
             tmp.replace(path)
         finally:
             tmp.unlink(missing_ok=True)

@@ -1,6 +1,8 @@
 """Core space/map operations against hand-expanded and brute-force oracles."""
 import itertools
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +27,7 @@ from ftop.space import (
     is_isomorphism,
     lam,
     map_from_json,
+    map_from_tuple,
     map_to_json,
     product,
     product_map,
@@ -34,7 +37,7 @@ from ftop.space import (
     space_to_json,
     sub,
 )
-from ftop.universe import enumerate_spaces, map_key, space_key
+from ftop.universe import Universe, enumerate_spaces, get_universe, map_key, space_key
 
 
 def brute_closure(points, rel, subset):
@@ -376,6 +379,138 @@ class TestMaps:
         f = product_map(M_TO_LAMBDA, identity(SIERPINSKI))
         assert len(f.src.points) == 10
         assert len(f.dst.points) == 6
+
+
+def reordered(x):
+    """The same space with its points listed back to front."""
+    return Space(reversed(x.points), x.rel)
+
+
+def name_compose(f, g):
+    """Oracle composite "f then g", through point names only."""
+    fa, ga = f.assign, g.assign
+    return {p: ga[q] for p, q in fa.items()}
+
+
+class TestLeanMap:
+    """A map stores only its index tuple; names are derived from it."""
+
+    def test_equal_across_reordered_endpoints(self):
+        f = M_TO_LAMBDA
+        for src, dst in ((reordered(M), LAMBDA), (M, reordered(LAMBDA))):
+            g = CMap(src, dst, f.assign)
+            assert f.as_tuple() != g.as_tuple()
+            assert f == g and g == f
+            assert hash(f) == hash(g)
+            assert len({f, g}) == 1
+
+    def test_equal_tuples_over_reordered_endpoints_can_differ(self):
+        two = Space.from_arrows("ab", [])
+        f = CMap(two, two, {"a": "a", "b": "a"})
+        g = map_from_tuple(two, reordered(two), f.as_tuple())
+        assert g.assign == {"a": "b", "b": "b"}
+        assert f != g
+
+    def test_hash_matches_the_name_formula(self):
+        u = get_universe(3)
+        for k in range(len(u)):
+            f = u.map_at(k)
+            assert hash(f) == hash((f.src, f.dst, frozenset(f.assign.items())))
+
+    def test_compose_through_a_reordered_middle(self):
+        mid = reordered(LAMBDA)
+        back = CMap(mid, LAMBDA, {p: p for p in LAMBDA.points})
+        h = compose(M_TO_LAMBDA, back)
+        assert h == M_TO_LAMBDA
+        assert h.assign == name_compose(M_TO_LAMBDA, back)
+        for g in (CMap(mid, POINT, {p: "o" for p in mid.points}),
+                  CMap(mid, SIERPINSKI, {"a": "c", "w": "o", "b": "o"})):
+            assert compose(M_TO_LAMBDA, g).assign == name_compose(M_TO_LAMBDA, g)
+
+    def test_compose_matches_names_on_universe_pairs(self):
+        u = get_universe(2)
+        maps = [u.map_at(k) for k in range(len(u))]
+        for f in maps:
+            for g in maps:
+                if f.dst == g.src:
+                    assert compose(f, g).assign == name_compose(f, g)
+
+    def test_call_and_image(self):
+        f = CMap(reordered(M), LAMBDA, M_TO_LAMBDA.assign)
+        assert [f(p) for p in M.points] == [M_TO_LAMBDA.assign[p] for p in M.points]
+        assert f.image() == frozenset({"a", "w", "b"})
+        with pytest.raises(MapError, match="not a point of the domain"):
+            f("w")
+
+    def test_is_isomorphism_needs_a_monotone_inverse(self):
+        squash = CMap(Space.from_arrows("ab", []), SIERPINSKI, {"a": "o", "b": "c"})
+        assert not is_isomorphism(squash)
+        u = get_universe(3)
+        for k in range(len(u)):
+            f = u.map_at(k)
+            fa = f.assign
+            back = {q: p for p, q in fa.items()}
+            want = len(back) == len(fa) == len(f.dst.points) and all(
+                (back[a], back[b]) in f.src.rel for a, b in f.dst.rel
+            )
+            assert is_isomorphism(f) == want
+
+    def test_tuple_of_wrong_length(self):
+        with pytest.raises(MapError, match="2 entries for a 3-point domain"):
+            map_from_tuple(LAMBDA, POINT, (0, 0))
+        with pytest.raises(MapError, match="4 entries for a 3-point domain"):
+            map_from_tuple(LAMBDA, POINT, (0, 0, 0, 0))
+
+    def test_tuple_index_out_of_range(self):
+        with pytest.raises(MapError, match="sends 'w' to 1, outside a 1-point codomain"):
+            map_from_tuple(LAMBDA, POINT, (0, 1, 0))
+        with pytest.raises(MapError, match="sends 'a' to -1, outside"):
+            map_from_tuple(LAMBDA, POINT, (-1, 0, 0))
+
+    def test_non_monotone_tuple_names_the_first_pair_of_the_relation(self):
+        chain = Space.from_arrows("abc", [("a", "b"), ("b", "c")])
+        dst = Space.from_arrows("xyz", [("x", "y")])
+        text = (
+            "not monotone: 'a'->'c' in the domain but 'x'->'z' fails in the codomain"
+        )
+        with pytest.raises(MapError) as by_tuple:
+            map_from_tuple(chain, dst, (0, 1, 2))
+        with pytest.raises(MapError) as by_names:
+            CMap(chain, dst, {"a": "x", "b": "y", "c": "z"})
+        assert str(by_tuple.value) == str(by_names.value) == text
+
+    def test_pickle_round_trip(self):
+        for f in (M_TO_LAMBDA, CMap(reordered(M), LAMBDA, M_TO_LAMBDA.assign)):
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f and hash(g) == hash(f)
+            assert g.as_tuple() == f.as_tuple()
+            assert f.__getstate__() == (f.src, f.dst, tuple(sorted(f.assign.items())))
+
+    def test_editing_assign_leaves_the_map_unchanged(self):
+        f = CMap(SIERPINSKI, SIERPINSKI, {"o": "o", "c": "c"})
+        g = identity(SIERPINSKI)
+        f.assign["c"] = "o"
+        assert f.assign == {"o": "o", "c": "c"}
+        assert f == g and hash(f) == hash(g)
+        assert f.as_tuple() == g.as_tuple()
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            M_TO_LAMBDA._t = (0, 0, 0, 0, 0)
+        with pytest.raises(AttributeError):
+            M_TO_LAMBDA.assign = {}
+
+    def test_universe_maps_are_small(self):
+        u = get_universe(3)
+        fresh = Universe(3, u.spaces, u.triples)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = [fresh.map_at(k) for k in range(len(fresh))]
+            per_map = (tracemalloc.get_traced_memory()[0] - before) / len(built)
+        finally:
+            tracemalloc.stop()
+        assert per_map <= 200
 
 
 class TestContinuityDictionary:

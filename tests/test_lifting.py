@@ -323,6 +323,21 @@ class TestRelativeOrthogonal:
         assert CMap(EMPTY, SIERPINSKI, {}) in cls
         assert CMap(EMPTY, LAMBDA, {}) not in cls
 
+    def test_membership_matches_a_scan_of_the_indices(self):
+        cls = relative_orthogonal([M_TO_LAMBDA], "l", 2)
+        u2, u3 = get_universe(2), get_universe(3)
+        assert 0 < len(cls.indices) < len(u2)
+        seen = {True: 0, False: 0, None: 0}
+        for k in range(len(u3)):
+            f = u3.map_at(k)
+            idx = u2.index_of_map(f)
+            want = idx is not None and any(i == idx for i in cls.indices)
+            assert (f in cls) == want
+            seen[want if idx is not None else None] += 1
+        assert min(seen.values()) > 0  # members, non-members, outside maps
+        for k in (cls.indices[0], cls.indices[-1]):
+            assert u2.map_at(k) in cls
+
     def test_multi_letter_needs_small_n(self):
         with pytest.raises(CapacityError):
             relative_orthogonal([EMPTY_TO_POINT], "rr", 4)

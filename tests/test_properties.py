@@ -3,9 +3,12 @@ import random
 
 from ftop.lifting import lifts_bool, monotone_maps
 from ftop.properties import (
+    _closed_masks,
+    _image_mask,
     admits_section,
     classify,
     closed_map,
+    closed_pair_extension,
     connected,
     dense_image,
     discrete,
@@ -37,7 +40,7 @@ from ftop.registry import (
     PULLBACK_ARCHETYPE,
     SIERPINSKI,
 )
-from ftop.space import CMap, Space, compose, coproduct, identity
+from ftop.space import CMap, Space, compose, coproduct, identity, quotient
 from ftop.universe import enumerate_spaces, get_universe
 
 
@@ -67,6 +70,26 @@ def oracle_quotient_map(f):
         pre = {p for p in f.src.points if f.assign[p] in u}
         if f.src.is_open(pre) != dst.is_open(u):
             return False
+    return True
+
+
+def oracle_closed_pair_extension(f):
+    """The pairwise loop: closures and preimages taken again for each pair."""
+    src, dst, t = f.src, f.dst, f.as_tuple()
+    closed = _closed_masks(src)
+    n = len(src.points)
+    for c1 in closed:
+        for c2 in closed:
+            if c1 & c2:
+                continue
+            d1 = dst.closure_mask(_image_mask(f, c1))
+            d2 = dst.closure_mask(_image_mask(f, c2))
+            if d1 & d2:
+                return False
+            pre1 = sum(1 << i for i in range(n) if (d1 >> t[i]) & 1)
+            pre2 = sum(1 << i for i in range(n) if (d2 >> t[i]) & 1)
+            if pre1 != c1 or pre2 != c2:
+                return False
     return True
 
 
@@ -116,6 +139,25 @@ class TestSetLevelFlags:
         for k in range(len(u)):
             f = u.map_at(k)
             assert quotient_map(f) == oracle_quotient_map(f)
+
+    def test_closed_pair_extension_matches_pairwise_oracle(self):
+        assert not closed_pair_extension(DISJOINT_CLOSURES_ARCHETYPE)
+        u = get_universe(4)
+        verdicts = set()
+        for k in range(len(u)):
+            f = u.map_at(k)
+            got = closed_pair_extension(f)
+            assert got == oracle_closed_pair_extension(f)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_quotient_map_closes_the_projected_relation(self):
+        # two Sierpinski spaces glued closed point to open point: a chain
+        # whose end-to-end pair comes only from the transitive closure
+        two = coproduct(SIERPINSKI, SIERPINSKI)
+        _, proj = quotient(two, [["o"], ["c", "o'"], ["c'"]])
+        assert len(proj.dst.rel) == 6
+        assert quotient_map(proj) and oracle_quotient_map(proj)
 
     def test_admits_section(self):
         # oracle: search the finite hom-set for a one-sided inverse

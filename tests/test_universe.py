@@ -1,5 +1,6 @@
 """Universe enumeration against an independent labeled-count oracle."""
 import itertools
+import json
 import os
 import shutil
 from pathlib import Path
@@ -241,14 +242,39 @@ class TestDiskCache:
         assert [p.name for p in tmp_path.iterdir()] == [name]
         assert uni._load_cache("probe") == {"rows": ["0x1"]}
 
+    def test_saved_bytes_are_the_compact_dump(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        block = uni._JSON_BLOCK
+        payload = {"n": 2, "name": "x\u00e9", "empty": [], "spaces": [{"points": ["p0"]}]}
+        for size in (1, block - 1, block, block + 1, 2 * block, 2 * block + 3):
+            payload[f"maps{size}"] = [[k % 7, k % 5, [k % 3, 0]] for k in range(size)]
+        uni._save_cache("probe", payload)
+        assert uni._cache_file("probe").read_bytes() == json.dumps(payload).encode()
+
     def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
         import ftop.universe as uni
 
-        def disk_full(payload, fh):
-            fh.write("{")
-            raise OSError("no space left on device")
+        real_open = open
 
-        monkeypatch.setattr(uni.json, "dump", disk_full)
+        class DiskFull:
+            """A temp file that takes one byte, then fails the write."""
+
+            def __init__(self, path, mode):
+                self.fh = real_open(path, mode)
+                self.fh.write("{")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(uni, "open", DiskFull, raising=False)
         uni._save_cache("probe", {"rows": []})
         assert list(tmp_path.iterdir()) == []
