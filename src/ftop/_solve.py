@@ -9,13 +9,14 @@ checking), so a dead end shows as soon as a related point runs out of
 candidates, not only when the search reaches it: a linear extension may put
 every open point of a long zigzag before any closed one.  ``enum_hom``/``hom``
 search in point order; ``first_solution`` searches X's linear extension.
-``hom`` and ``first_solution`` memoize their answers per space pair
-(``_table``); a memo dies with either space.
+Answers are memoized per space pair (``_table``) and die with either space.
+``enum_hom`` keeps an enumeration only once it has run to its end (``hom``
+reads the entry for all-ones masks); one abandoned part-way keeps nothing.
 """
 from __future__ import annotations
 
 import weakref
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .space import Space
 
@@ -85,14 +86,6 @@ def _search(
         left[k] = narrowed[steps[k][0]]
 
 
-def enum_hom(X: Space, Y: Space, cand: list[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """All monotone assignments X -> Y within per-point candidate masks,
-    lexicographic on the emitted tuples."""
-    if cand is None:
-        cand = [(1 << len(Y.points)) - 1] * len(X.points)
-    return _search(X, Y, cand, tuple(range(len(X.points))))
-
-
 def _table(X: Space, Y: Space, name: str) -> dict:
     """The memo ``name`` for the pair (X, Y), kept on X under Y's identity:
     equal spaces may list their points in different orders, and answers
@@ -112,14 +105,33 @@ def _table(X: Space, Y: Space, name: str) -> dict:
     return got[1]
 
 
+def enum_hom(
+    X: Space, Y: Space, cand: Sequence[int] | None = None
+) -> Iterable[tuple[int, ...]]:
+    """All monotone assignments X -> Y within per-point candidate masks,
+    lexicographic on the emitted tuples (memoized per space pair on the
+    masks' contents).  A hit returns the stored tuple; a miss streams the
+    search and stores what it yielded once it runs to its end."""
+    if cand is None:
+        cand = ((1 << len(Y.points)) - 1,) * len(X.points)
+    key = tuple(cand)
+    memo = _table(X, Y, "enum")
+    got = memo.get(key)
+    return _recorded(X, Y, key, memo) if got is None else got
+
+
+def _recorded(X: Space, Y: Space, key: tuple[int, ...], memo: dict) -> Iterator[tuple[int, ...]]:
+    seen = []
+    for t in _search(X, Y, key, tuple(range(len(X.points)))):
+        seen.append(t)
+        yield t
+    memo[key] = tuple(seen)  # not reached when the consumer stops early
+
+
 def hom(X: Space, Y: Space) -> tuple[tuple[int, ...], ...]:
-    """All monotone assignments X -> Y, in lexicographic order (memoized per
-    space pair)."""
-    memo = _table(X, Y, "hom")
-    got = memo.get(None)
-    if got is None:
-        got = memo[None] = tuple(enum_hom(X, Y))
-    return got
+    """All monotone assignments X -> Y, in lexicographic order (``enum_hom``
+    under all-ones masks)."""
+    return tuple(enum_hom(X, Y))
 
 
 def first_solution(X: Space, Y: Space, cand: Sequence[int]) -> tuple[int, ...] | None:

@@ -69,7 +69,7 @@ def _squares(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
     fib = _fibers(g)
     for phi in hom(i.dst, B):
         over = [fib[b] for b in phi]
-        cand = [over[x] for x in it]
+        cand = tuple([over[x] for x in it])
         if 0 in cand:
             continue
         for f in enum_hom(A, Y, cand):
@@ -104,7 +104,10 @@ def fill(sq: Square) -> Optional[CMap]:
 
 def lifts_bool(i: CMap, g: CMap) -> bool:
     """Decide i ⧄ g, short-circuiting on the first unfillable square."""
-    return all(_fill_tuple(i, g, f_t, over) is not None for _, f_t, over in _squares(i, g))
+    for _, f_t, over in _squares(i, g):
+        if _fill_tuple(i, g, f_t, over) is None:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 from functools import reduce
 from operator import and_
 
@@ -288,6 +289,20 @@ class TestLifts:
         del Y
         assert spaces_alive("m_") == 0
         assert key not in X._lazy
+
+    def test_refuted_sweep_keeps_no_enumeration(self):
+        # the fifth square refutes this; enumerations the short-circuit
+        # abandons must keep nothing (an eager memo peaks at ~30 MB here)
+        f = sub(2)
+        g = parse_map("{a<->b<->c<->d}-->{a=b=c=d}")
+        tracemalloc.start()
+        try:
+            holds = lifts_bool(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds is False
+        assert peak < 1 << 20
 
     def test_parsed_base_leaves_no_space_alive(self):
         # the classes cached on a base die with it

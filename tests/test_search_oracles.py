@@ -1,11 +1,13 @@
 """The one backtracking kernel and the one permutation scan against
 brute-force oracles (seeded, stdlib only)."""
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
-from ftop._solve import _search, enum_hom, first_solution
+from ftop._solve import _search, _table, enum_hom, first_solution, hom
 from ftop.space import Space
 from ftop.universe import _posets, automorphisms, enumerate_spaces
 
@@ -61,7 +63,9 @@ class TestSearchKernel:
             ident, ext = tuple(range(len(X.points))), X.linear_extension()
             for order in (ident, ext):
                 assert list(_search(X, Y, cand, order)) == brute_force(X, Y, cand, order)
-            assert list(enum_hom(X, Y, cand)) == brute_force(X, Y, cand, ident)
+            # the second pass comes from the memo the first one filled
+            for _ in range(2):
+                assert list(enum_hom(X, Y, cand)) == brute_force(X, Y, cand, ident)
             want = brute_force(X, Y, cand, ext)
             assert first_solution(X, Y, cand) == (want[0] if want else None)
 
@@ -111,6 +115,58 @@ class TestFillerMemo:
         want = [brute_force(X, Y, cand, X.linear_extension())[0] for Y in (Y1, Y2)]
         assert want[0] != want[1]
         assert got == want * 2
+        # so are enumerations
+        got = [list(enum_hom(X, Y, cand)) for Y in (Y1, Y2, Y1, Y2)]
+        want = [brute_force(X, Y, cand, range(2)) for Y in (Y1, Y2)]
+        assert want[0] != want[1]
+        assert got == want * 2
+
+
+class TestEnumerationMemo:
+    def test_only_an_enumeration_run_to_its_end_is_kept(self):
+        X = Space.from_arrows(["a", "b", "c"], [("a", "b")])
+        Y = Space.from_arrows(["u", "v", "w"], [("u", "v"), ("v", "w")])
+        cand = [0b111, 0b110, 0b011]
+        key = tuple(cand)
+        want = brute_force(X, Y, cand, range(3))
+        assert len(want) > 1
+        stream = iter(enum_hom(X, Y, cand))
+        assert next(stream) == want[0]
+        stream.close()  # abandoned after one item
+        assert key not in _table(X, Y, "enum")
+        assert list(enum_hom(X, Y, cand)) == want
+        assert list(_table(X, Y, "enum")[key]) == want
+        assert enum_hom(X, Y, cand) is _table(X, Y, "enum")[key]
+
+    def test_hom_is_the_all_ones_entry(self):
+        X = Space.from_arrows(["a", "b"], [("a", "b")])
+        Y = Space.from_arrows(["u", "v", "w"], [("u", "v")])
+        got = hom(X, Y)
+        assert list(got) == brute_force(X, Y, [0b111] * 2, range(2))
+        memo = _table(X, Y, "enum")
+        assert list(memo) == [(0b111, 0b111)]
+        assert memo[(0b111, 0b111)] == got
+        assert hom(X, Y) is memo[(0b111, 0b111)]
+        assert enum_hom(X, Y) is memo[(0b111, 0b111)]
+
+    def test_entry_dies_with_either_space(self):
+        # the entry sits on X under Y's identity and holds Y weakly
+        X = Space.from_arrows(["a", "b"], [("a", "b")])
+        Y = Space.from_arrows(["u", "v"], [("u", "v")])
+        assert list(enum_hom(X, Y, [0b11, 0b10])) == [(0, 1), (1, 1)]
+        key = ("enum", id(Y))
+        assert key in X._lazy
+        probe = weakref.ref(Y)
+        del Y
+        gc.collect()
+        assert probe() is None
+        assert key not in X._lazy
+        Y = Space.from_arrows(["u", "v"], [("u", "v")])
+        assert list(enum_hom(X, Y, [0b11, 0b10])) == [(0, 1), (1, 1)]
+        probe = weakref.ref(X)
+        del X
+        gc.collect()
+        assert probe() is None
 
 
 class TestPermutationScan:

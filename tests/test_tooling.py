@@ -58,6 +58,9 @@ def test_benchmark_tracer_binds_to_the_package(tmp_path):
     # the filler memo sits inside the traced name: a search it answers counts
     name = "solve.first_solution.calls"
     assert metrics[name] - before[name] == 2
+    # so does the enumeration memo: a stored enumeration counts as a call
+    name = "solve.enum_hom.calls"
+    assert metrics[name] - before[name] == 2
     assert metrics["lifting.lifts.calls"] == 1
     assert metrics["lifting.recheck.calls"] == 1
     assert metrics["lifting.squares"] > 0
