@@ -12,8 +12,6 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Iterator, Optional, Sequence
 
 from ._solve import _search, enum_hom, first_solution, hom
@@ -23,7 +21,7 @@ from .space import (
 )
 
 MATRIX_MAX_N = 3  # largest bound for multi-letter words and the pairwise lifting matrix
-STEP_BLOCK = 64  # universe maps per work item of a word step
+STEP_BLOCK = 64  # universe maps per work item of one letter's step
 
 
 def monotone_maps(x: Space, y: Space) -> list[CMap]:
@@ -219,31 +217,17 @@ class BoundedClass:
         return idx is not None and idx in set(self.indices)
 
 
-_MATRIX_MEMO: dict[int, list[int]] = {}
-_ISO_MEMO: dict[int, int] = {}
 MATRIX_SAMPLE = 64  # entries of a loaded matrix re-decided by lifts_bool
-
-
-def _isos(u) -> int:
-    """Bitmask of the isomorphisms of universe ``u``.  An isomorphism lifts
-    against every map and every map lifts against it, so it belongs to every
-    class."""
-    got = _ISO_MEMO.get(u.n)
-    if got is None:
-        got = _ISO_MEMO[u.n] = sum(
-            1 << k for k, (si, di, _) in enumerate(u.triples)
-            if si == di and is_isomorphism(u.map_at(k))
-        )
-    return got
 
 
 def _matrix_ok(u, rows: Sequence[int]) -> bool:
     """Spot-check a lifting matrix read from disk.  An isomorphism lifts
     against every map, so its row is all ones; and a fixed-seed sample of
     entries must agree with ``lifts_bool``."""
-    full = (1 << len(u)) - 1
-    isos = _isos(u)
-    if any((isos >> k) & 1 and row != full for k, row in enumerate(rows)):
+    full, isos = (1 << len(u)) - 1, u.isos
+    if len(rows) != len(u) or any(
+        (isos >> k) & 1 and row != full for k, row in enumerate(rows)
+    ):
         return False
     rng = random.Random(0)
     for _ in range(MATRIX_SAMPLE):
@@ -256,92 +240,64 @@ def _matrix_ok(u, rows: Sequence[int]) -> bool:
 def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
     """Pairwise lifting table over the n-universe: row i, bit j = m_i ⧄ m_j.
     Cached on disk and checked on load; word steps do not read it."""
-    from .universe import _load_cache, _save_cache, get_universe
+    from .universe import _artifact, get_universe
     from ._parallel import pmap
 
     if n > MATRIX_MAX_N:
         raise CapacityError(f"pairwise lifting matrix at n={n} (max {MATRIX_MAX_N})")
-    got = _MATRIX_MEMO.get(n)
-    if got is not None:
-        return got
     u = get_universe(n)
-    cached = _load_cache(f"matrix_n{n}")
-    rows = None
-    if cached is not None and len(cached.get("rows", ())) == len(u):
-        rows = [int(h, 16) for h in cached["rows"]]
-        if not _matrix_ok(u, rows):
-            rows = None
-    if rows is None:
-        maps = [u.map_at(k) for k in range(len(u))]
 
-        def _row(i: int) -> int:
-            acc = 0
-            mi = maps[i]
-            for j, mj in enumerate(maps):
-                if lifts_bool(mi, mj):
-                    acc |= 1 << j
-            return acc
+    def decode(payload: dict) -> Optional[list[int]]:
+        rows = [int(h, 16) for h in payload["rows"]]
+        return rows if _matrix_ok(u, rows) else None
 
-        rows = pmap(_row, range(len(maps)), jobs)
-        _save_cache(f"matrix_n{n}", {"n": n, "rows": [hex(r) for r in rows]})
-    _MATRIX_MEMO[n] = rows
-    return rows
+    def build() -> list[int]:
+        u.isos  # computed here, not once per pool worker
+        return pmap(lambda i: _keep(u, [u.map_at(i)], "r", 0, len(u)), range(len(u)), jobs)
+
+    return _artifact(f"matrix_n{n}", decode, build,
+                     lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
-def _class(b: CMap, side: str, n: int, jobs: int) -> int:
-    """Bitmask over the n-universe of the maps that lift against b (side
-    "l") or that b lifts against (side "r"); cached on b, so it dies with b."""
-    from .universe import get_universe
+def _keep(u, members: Sequence[CMap], letter: str, start: int, stop: int) -> int:
+    """Bitmask of the maps m_j of universe ``u``, start <= j < stop, that
+    lift against every member (letter "l") or that every member lifts
+    against (letter "r").
+
+    Isomorphisms lift both ways against every map, so they are skipped as
+    members and kept as candidates without a search.  A candidate's test
+    stops at the first refuting member, and the member that last refuted a
+    candidate is tried first."""
+    isos = u.isos >> start  # bits counted from start keep each test small
+    order = [c for c in members if not is_isomorphism(c)]
+    acc = 0
+    for j in range(start, stop):
+        bit = 1 << (j - start)
+        if isos & bit:
+            acc |= bit
+            continue
+        m = u.map_at(j)
+        for pos, c in enumerate(order):
+            if not (lifts_bool(m, c) if letter == "l" else lifts_bool(c, m)):
+                order.insert(0, order.pop(pos))
+                break
+        else:
+            acc |= bit
+    return acc << start
+
+
+def _step(u, members: Sequence[CMap], letter: str, jobs: int) -> int:
+    """One letter of a word, as a bitmask over universe ``u``: ``_keep`` over
+    the whole universe, in fixed blocks of ``STEP_BLOCK`` maps.  The order of
+    the members restarts in each block, so verdicts and ``lifts_bool`` calls
+    are the same for every ``jobs``."""
     from ._parallel import pmap
 
-    key = ("class", side, n)
-    got = b._lazy.get(key)
-    if got is None:
-        u = get_universe(n)
-
-        def member(k: int) -> bool:
-            m = u.map_at(k)
-            return lifts_bool(m, b) if side == "l" else lifts_bool(b, m)
-
-        flags = pmap(member, range(len(u)), jobs)
-        got = sum(1 << k for k, ok in enumerate(flags) if ok)
-        b._lazy[key] = got
-    return got
-
-
-def _step(u, cur: int, letter: str, jobs: int) -> int:
-    """One letter of a word after the first, as a bitmask over universe
-    ``u``: the maps that every member of ``cur`` lifts against (letter "r"),
-    or that lift against every member (letter "l").
-
-    Isomorphisms are skipped as members and kept as candidates without a
-    search.  A candidate's test stops at the first refuting member, and the
-    member that last refuted a candidate is tried first.  That order restarts
-    in each fixed block of ``STEP_BLOCK`` candidates, so verdicts and
-    ``lifts_bool`` calls are the same for every ``jobs``."""
-    from ._parallel import pmap
-
-    isos = _isos(u)
-    live = cur & ~isos
-    members = [u.map_at(k) for k in range(len(u)) if (live >> k) & 1]
-
-    def block(start: int) -> int:
-        order = list(members)
-        acc = 0
-        for j in range(start, min(start + STEP_BLOCK, len(u))):
-            if (isos >> j) & 1:
-                acc |= 1 << j
-                continue
-            m = u.map_at(j)
-            for pos, c in enumerate(order):
-                if not (lifts_bool(m, c) if letter == "l" else lifts_bool(c, m)):
-                    order.insert(0, order.pop(pos))
-                    break
-            else:
-                acc |= 1 << j
-        return acc
-
-    return sum(pmap(block, range(0, len(u), STEP_BLOCK), jobs))
+    u.isos  # computed here, not once per pool worker
+    return sum(pmap(
+        lambda start: _keep(u, members, letter, start, min(start + STEP_BLOCK, len(u))),
+        range(0, len(u), STEP_BLOCK), jobs,
+    ))
 
 
 def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) -> BoundedClass:
@@ -349,11 +305,10 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
 
     The word is read left to right; at each letter the new class is the set of
     universe maps with the required lifting against every member of the
-    current set.  The first letter sweeps the universe against the base
-    (``_class``); each later letter is one ``_step`` against the current
-    class.  Words of length >= 2 are capped at n <= 3.  For a single-map base
-    the class of every prefix is cached on the map, so words sharing a prefix
-    share its steps.
+    current set.  Every letter is one ``_step``: the first against the base,
+    each later one against the current class.  Words of length >= 2 are
+    capped at n <= 3.  For a single-map base the class of every prefix is
+    cached on the map, so words sharing a prefix share its steps.
     """
     from .universe import get_universe
 
@@ -366,12 +321,15 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     u = get_universe(n)
     base = tuple(base)
     memo = base[0]._lazy if len(base) == 1 else {}
-    cur = reduce(and_, (_class(b, word[0], n, jobs) for b in base), (1 << len(u)) - 1)
-    for end in range(2, len(word) + 1):
+    cur = None
+    for end in range(1, len(word) + 1):
         key = ("word", word[:end], n)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = _step(u, cur, word[end - 1], jobs)
+            members = base if cur is None else [
+                u.map_at(k) for k in range(len(u)) if (cur >> k) & 1
+            ]
+            got = memo[key] = _step(u, members, word[end - 1], jobs)
         cur = got
     indices = tuple(k for k in range(len(u)) if (cur >> k) & 1)
     return BoundedClass(base, word, n, indices, exact=(len(word) == 1))

@@ -14,9 +14,9 @@ import hashlib
 import itertools
 import json
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from ._solve import hom
 from .errors import CapacityError
@@ -26,12 +26,13 @@ SPACES_MAX_N = 6
 MAPS_MAX_N = 5
 CACHE_SCHEMA = 1
 _JSON_BLOCK = 64  # list items encoded per json.dumps call of a cache write
-# spaces per point count up to homeomorphism (OEIS A001930); a catalog read
-# from disk must match them
+# spaces per point count up to homeomorphism (OEIS A001930), and maps of the
+# n-point universe for n = 0..MAPS_MAX_N; a catalog read from disk must match
 SPACE_COUNTS = (1, 1, 3, 9, 33, 139, 718)
+MAP_COUNTS = (1, 3, 31, 661, 25586, 1649594)
 
-_SPACES_MEMO: dict[int, tuple[Space, ...]] = {}
-_UNIVERSE_MEMO: dict[int, "Universe"] = {}
+T = TypeVar("T")
+_MEMO: dict[str, object] = {}  # artifacts of this process, by cache stem
 
 
 def cache_dir() -> Path:
@@ -96,6 +97,25 @@ def _save_cache(stem: str, payload: dict) -> None:
             tmp.replace(path)
         finally:
             tmp.unlink(missing_ok=True)
+
+
+def _artifact(stem: str, decode: Callable[[dict], Optional[T]], build: Callable[[], T],
+              encode: Callable[[T], dict]) -> T:
+    """The artifact ``stem``: from this process's memo, else from its cache
+    file if ``decode`` accepts the payload, else built and saved.  A payload
+    that ``decode`` rejects (None) or cannot read (KeyError, TypeError,
+    ValueError) is rebuilt."""
+    got = _MEMO.get(stem)
+    if got is None:
+        payload = _load_cache(stem)
+        if payload is not None:
+            with contextlib.suppress(KeyError, TypeError, ValueError):
+                got = decode(payload)
+        if got is None:
+            got = build()
+            _save_cache(stem, encode(got))
+        _MEMO[stem] = got
+    return got
 
 
 # -- canonical forms ----------------------------------------------------------
@@ -272,36 +292,28 @@ def enumerate_spaces(n: int) -> tuple[Space, ...]:
         raise ValueError("n must be >= 0")
     if n > SPACES_MAX_N:
         raise CapacityError(f"space catalog at n={n} (max {SPACES_MAX_N})")
-    got = _SPACES_MEMO.get(n)
-    if got is not None:
-        return got
-    cached = _load_cache(f"spaces_n{n}")
-    spaces = None
-    if cached is not None:
+
+    def decode(payload: dict) -> Optional[tuple[Space, ...]]:
         spaces = tuple(
             Space(item["points"], [tuple(p) for p in item["rel"]])
-            for item in cached["spaces"]
+            for item in payload["spaces"]
         )
         want = [m for m in range(n + 1) for _ in range(SPACE_COUNTS[m])]
-        if [len(s.points) for s in spaces] != want:
-            spaces = None
-    if spaces is None:
-        out: list[Space] = []
-        for m in range(n + 1):
-            out.extend(_spaces_of_size(m))
-        spaces = tuple(out)
-        _save_cache(
-            f"spaces_n{n}",
-            {
-                "n": n,
-                "spaces": [
-                    {"points": list(s.points), "rel": sorted(map(list, s.rel))}
-                    for s in spaces
-                ],
-            },
-        )
-    _SPACES_MEMO[n] = spaces
-    return spaces
+        return spaces if [len(s.points) for s in spaces] == want else None
+
+    def encode(spaces: tuple[Space, ...]) -> dict:
+        return {
+            "n": n,
+            "spaces": [
+                {"points": list(s.points), "rel": sorted(map(list, s.rel))}
+                for s in spaces
+            ],
+        }
+
+    return _artifact(
+        f"spaces_n{n}", decode,
+        lambda: tuple(s for m in range(n + 1) for s in _spaces_of_size(m)), encode,
+    )
 
 
 # -- map universe ---------------------------------------------------------------
@@ -337,6 +349,16 @@ class Universe:
     @property
     def maps(self) -> Sequence[CMap]:
         return _MapSeq(self)
+
+    @cached_property
+    def isos(self) -> int:
+        """Bitmask of the isomorphisms.  Catalog spaces are pairwise
+        non-homeomorphic, and a bijective self-map of a finite space is a
+        homeomorphism, so these are the bijective maps of a space to itself."""
+        return sum(
+            1 << k for k, (si, di, t) in enumerate(self.triples)
+            if si == di and len(set(t)) == len(t)
+        )
 
     def map_at(self, k: int) -> CMap:
         got = self._cmaps[k]
@@ -391,22 +413,22 @@ def get_universe(n: int) -> Universe:
         raise ValueError("n must be >= 0")
     if n > MAPS_MAX_N:
         raise CapacityError(f"map universe at n={n} (max {MAPS_MAX_N})")
-    got = _UNIVERSE_MEMO.get(n)
-    if got is not None:
-        return got
-    spaces = enumerate_spaces(n)
-    cached = _load_cache(f"maps_n{n}")
-    if cached is not None:
-        triples = [(si, di, tuple(t)) for si, di, t in cached["maps"]]
-    else:
-        triples = _map_triples(spaces)
-        _save_cache(
-            f"maps_n{n}",
-            {"n": n, "maps": [[si, di, list(t)] for si, di, t in triples]},
-        )
-    uni = Universe(n, spaces, triples)
-    _UNIVERSE_MEMO[n] = uni
-    return uni
+
+    def decode(payload: dict) -> Optional[Universe]:
+        maps = payload["maps"]
+        if len(maps) != MAP_COUNTS[n]:
+            return None
+        return Universe(n, enumerate_spaces(n), [(si, di, tuple(t)) for si, di, t in maps])
+
+    def build() -> Universe:
+        spaces = enumerate_spaces(n)
+        return Universe(n, spaces, _map_triples(spaces))
+
+    return _artifact(
+        f"maps_n{n}", decode, build,
+        # json writes a tuple as a list; no second copy of the catalog
+        lambda uni: {"n": n, "maps": list(uni.triples)},
+    )
 
 
 def enumerate_maps(n: int) -> Sequence[CMap]:

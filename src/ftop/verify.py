@@ -27,13 +27,7 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 from ._parallel import pmap
-from .lifting import (
-    _class,
-    bounded_factor,
-    is_retract_of,
-    lifts_bool,
-    relative_orthogonal,
-)
+from .lifting import bounded_factor, is_retract_of, lifts_bool, relative_orthogonal
 from .parser import render
 from .properties import (
     admits_section,
@@ -169,10 +163,9 @@ class _Run:
         return got
 
     @cached_property
-    def left(self) -> list[int]:
+    def left(self) -> tuple[int, ...]:
         """Universe indices of the bounded left class of the zigzag collapse."""
-        cls = _class(M_TO_LAMBDA, "l", self.n, self.jobs)
-        return [k for k in range(len(get_universe(self.n))) if (cls >> k) & 1]
+        return relative_orthogonal([M_TO_LAMBDA], "l", self.n, self.jobs).indices
 
     @cached_property
     def discrete_left(self) -> list[int]:
@@ -340,7 +333,7 @@ def _two_routes(run: _Run):
 
 
 def _left_lifts_sub(run: _Run, k: int):
-    u, g, left = get_universe(run.n), sub(k), run.left
+    left, u, g = run.left, get_universe(run.n), sub(k)  # a bound over 4 fails before a build
     flags = pmap(lambda j: lifts_bool(u.map_at(j), g), left, run.jobs)
     bad = [render(u.map_at(j)) for j, ok in zip(left, flags) if not ok]
     return _verdict(bad, len(left), "left-class maps")

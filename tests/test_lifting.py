@@ -267,6 +267,16 @@ class TestLifts:
             g = u.map_at(rng.randrange(len(u)))
             assert lifts_bool(iso, g)
 
+    def test_every_map_lifts_both_ways_against_every_isomorphism(self):
+        # the search that word steps and matrix rows skip for isomorphisms
+        u = get_universe(2)
+        maps = [u.map_at(k) for k in range(len(u))]
+        isos = [m for k, m in enumerate(maps) if (u.isos >> k) & 1]
+        assert len(isos) == len(u.spaces)
+        for m in maps:
+            for iso in isos:
+                assert lifts_bool(m, iso) and lifts_bool(iso, m)
+
     def test_queries_leave_no_space_alive(self):
         # fixed partners on both sides, fresh parsed maps: no cache may keep
         # a query's spaces alive, or a long-lived process grows per query
@@ -446,18 +456,40 @@ class TestRelativeOrthogonal:
         calls.clear()
         relative_orthogonal([base], "lr", 2)
         assert calls == []
+        # a first letter skips the isomorphisms, as every later one does
         relative_orthogonal([base], "r", 2)
-        assert len(calls) == len(get_universe(2))
+        u = get_universe(2)
+        assert len(calls) == len(u) - bin(u.isos).count("1") == 26
+
+    def test_two_map_base_stops_at_the_first_refuting_map(self, monkeypatch):
+        import ftop.lifting as lifting
+
+        calls = []
+
+        def counting(i, g):
+            calls.append((i, g))
+            return lifts_bool(i, g)
+
+        def bases():  # fresh maps, so no class is cached on them
+            return CMap(EMPTY, POINT, {}), CMap(POINT, SIERPINSKI, {"o": "o"})
+
+        monkeypatch.setattr(lifting, "lifts_bool", counting)
+        singles = [set(relative_orthogonal([b], "l", 3).indices) for b in bases()]
+        apart = len(calls)
+        calls.clear()
+        both = relative_orthogonal(bases(), "l", 3)
+        assert 0 < len(calls) < apart
+        assert set(both.indices) == singles[0] & singles[1]
 
     def test_zeroed_matrix_file_is_rebuilt(self, monkeypatch):
         # an isomorphism's row must be all ones, so zeroed rows are not
         # trusted: they are rebuilt and saved again
-        import ftop.lifting as lifting
+        import ftop.universe as universe
         from ftop.universe import _load_cache, _save_cache
 
         zeros = ["0x0"] * len(get_universe(3))
         _save_cache("matrix_n3", {"n": 3, "rows": zeros})
-        monkeypatch.setattr(lifting, "_MATRIX_MEMO", {})
+        monkeypatch.setattr(universe, "_MEMO", {})
         rows = lifting_matrix(3, jobs=2)
         assert _load_cache("matrix_n3")["rows"] == [hex(r) for r in rows] != zeros
         assert len(matrix_word([EMPTY_TO_POINT], "rr", 3, rows)) == 67
@@ -477,6 +509,7 @@ class TestRelativeOrthogonal:
     @pytest.mark.parametrize("fault", ["sampled entry", "isomorphism row"])
     def test_matrix_file_failing_a_check_is_rebuilt(self, fault, monkeypatch):
         import ftop.lifting as lifting
+        import ftop.universe as universe
         from ftop.universe import _load_cache, _save_cache
 
         u = get_universe(2)
@@ -494,7 +527,7 @@ class TestRelativeOrthogonal:
                      and k not in {i for i, _ in sample})
             bad[k] = 0
         _save_cache("matrix_n2", {"n": 2, "rows": [hex(r) for r in bad]})
-        monkeypatch.setattr(lifting, "_MATRIX_MEMO", {})
+        monkeypatch.setattr(universe, "_MEMO", {})
         assert lifting_matrix(2) == rows
         assert _load_cache("matrix_n2")["rows"] == [hex(r) for r in rows]
 

@@ -23,6 +23,20 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_cache_files_are_read_and_written_only_through_artifact():
+    # every cached artifact gets the same load check: no loader of its own
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("_load_cache", "_save_cache"):
+                        calls.append((path.name, getattr(top, "name", None), name))
+    assert sorted(calls) == [("universe.py", "_artifact", "_load_cache"),
+                             ("universe.py", "_artifact", "_save_cache")]
+
+
 # installs the benchmark's layer tracer, then counts a few small calls
 _TRACE = """
 import json

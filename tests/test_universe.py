@@ -10,7 +10,7 @@ import pytest
 from ftop.errors import CapacityError
 from ftop.lifting import lifts_bool, monotone_maps, relative_orthogonal
 from ftop.registry import EMPTY_TO_POINT, M_TO_LAMBDA
-from ftop.space import CMap, Space, sub
+from ftop.space import CMap, Space, is_isomorphism, sub
 from ftop.universe import (
     automorphisms,
     canonical_space,
@@ -159,6 +159,13 @@ class TestMapUniverse:
             assert lifts_bool(probe, f) == lifts_bool(probe, rep)
             assert lifts_bool(f, probe) == lifts_bool(rep, probe)
 
+    def test_isos_are_the_isomorphisms(self):
+        # a scan of every map, not only the self-maps of a space
+        u = get_universe(3)
+        assert u.isos == sum(
+            1 << k for k in range(len(u)) if is_isomorphism(u.map_at(k))
+        )
+
     def test_enumerate_maps_sequence(self):
         maps = enumerate_maps(2)
         assert len(maps) > 0
@@ -175,12 +182,10 @@ class TestDiskCache:
         monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
         import ftop.universe as uni
 
-        monkeypatch.setattr(uni, "_SPACES_MEMO", {})
-        monkeypatch.setattr(uni, "_UNIVERSE_MEMO", {})
+        monkeypatch.setattr(uni, "_MEMO", {})
         first = uni.get_universe(2)
         assert (tmp_path / f"maps_n2_{uni._code_digest()}.json").exists()
-        monkeypatch.setattr(uni, "_SPACES_MEMO", {})
-        monkeypatch.setattr(uni, "_UNIVERSE_MEMO", {})
+        monkeypatch.setattr(uni, "_MEMO", {})
         second = uni.get_universe(2)
         assert first.triples == second.triples
         assert [first.map_at(k) for k in range(len(first))] == [
@@ -196,21 +201,47 @@ class TestDiskCache:
         assert uni._load_cache("maps_n2") == {"maps": []}
         monkeypatch.setattr(uni, "_code_digest", lambda: "1" * 16)
         assert uni._load_cache("maps_n2") is None
-        monkeypatch.setattr(uni, "_UNIVERSE_MEMO", {})
+        monkeypatch.setattr(uni, "_MEMO", {})
         assert len(uni.get_universe(2)) > 0  # rebuilt, not the stale empty list
 
     def test_spaces_file_missing_a_space_is_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
         import ftop.universe as uni
 
-        monkeypatch.setattr(uni, "_SPACES_MEMO", {})
+        monkeypatch.setattr(uni, "_MEMO", {})
         full = uni.enumerate_spaces(3)
         payload = uni._load_cache("spaces_n3")
         del payload["spaces"][5]
         uni._save_cache("spaces_n3", payload)
-        monkeypatch.setattr(uni, "_SPACES_MEMO", {})
+        monkeypatch.setattr(uni, "_MEMO", {})
         assert uni.enumerate_spaces(3) == full
         assert len(uni._load_cache("spaces_n3")["spaces"]) == len(full)
+
+    @pytest.mark.parametrize("fault", ["empty list", "item dropped", "key missing", "string"])
+    @pytest.mark.parametrize("stem", ["spaces_n3", "maps_n2", "matrix_n2"])
+    def test_faulty_payload_is_rebuilt(self, stem, fault, tmp_path, monkeypatch):
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+        from ftop.lifting import lifting_matrix
+
+        key, load = {
+            "spaces_n3": ("spaces", lambda: uni.enumerate_spaces(3)),
+            "maps_n2": ("maps", lambda: uni.get_universe(2).triples),
+            "matrix_n2": ("rows", lambda: lifting_matrix(2)),
+        }[stem]
+        monkeypatch.setattr(uni, "_MEMO", {})
+        built = load()
+        good = uni._load_cache(stem)
+        bad = dict(good)
+        if fault == "key missing":
+            del bad[key]
+        else:
+            bad[key] = {"empty list": [], "item dropped": good[key][:-1],
+                        "string": "corrupt"}[fault]
+        uni._save_cache(stem, bad)
+        monkeypatch.setattr(uni, "_MEMO", {})
+        assert load() == built
+        assert uni._load_cache(stem) == good
 
     def test_code_digest_follows_the_package_source(self, tmp_path):
         import ftop.universe as uni
