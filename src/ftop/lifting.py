@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from ._solve import _search, enum_hom, first_solution, hom
@@ -21,7 +22,7 @@ from .space import (
 )
 
 MATRIX_MAX_N = 3  # largest bound for multi-letter words and the pairwise lifting matrix
-STEP_BLOCK = 64  # universe maps per work item of one letter's step
+STEP_BLOCK = 64  # positions per work item of a _step
 
 
 def monotone_maps(x: Space, y: Space) -> list[CMap]:
@@ -241,7 +242,6 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
     """Pairwise lifting table over the n-universe: row i, bit j = m_i ⧄ m_j.
     Cached on disk and checked on load; word steps do not read it."""
     from .universe import _artifact, get_universe
-    from ._parallel import pmap
 
     if n > MATRIX_MAX_N:
         raise CapacityError(f"pairwise lifting matrix at n={n} (max {MATRIX_MAX_N})")
@@ -251,53 +251,49 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
         rows = [int(h, 16) for h in payload["rows"]]
         return rows if _matrix_ok(u, rows) else None
 
-    def build() -> list[int]:
-        u.isos  # computed here, not once per pool worker
-        return pmap(lambda i: _keep(u, [u.map_at(i)], "r", 0, len(u)), range(len(u)), jobs)
-
-    return _artifact(f"matrix_n{n}", decode, build,
+    return _artifact(f"matrix_n{n}", decode,
+                     lambda: _step(u.maps, u.isos, [([m], "r") for m in u.maps], jobs),
                      lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
-def _keep(u, members: Sequence[CMap], letter: str, start: int, stop: int) -> int:
-    """Bitmask of the maps m_j of universe ``u``, start <= j < stop, that
-    lift against every member (letter "l") or that every member lifts
-    against (letter "r").
+def _keep(maps: Sequence[CMap], isos: int, rows: Sequence[tuple], ks: Sequence[int]) -> list[int]:
+    """Per row (members, letter), the bitmask over the positions p of ``ks``
+    of the maps ``maps[ks[p]]`` that lift against every member (letter "l")
+    or that every member lifts against (letter "r").
 
-    Isomorphisms lift both ways against every map, so they are skipped as
-    members and kept as candidates without a search.  A candidate's test
-    stops at the first refuting member, and the member that last refuted a
-    candidate is tried first."""
-    isos = u.isos >> start  # bits counted from start keep each test small
-    order = [c for c in members if not is_isomorphism(c)]
-    acc = 0
-    for j in range(start, stop):
-        bit = 1 << (j - start)
-        if isos & bit:
-            acc |= bit
+    Isomorphisms (bits of ``isos``) lift both ways against every map, so
+    they are skipped as members and kept as candidates without a search.  A
+    candidate's test stops at the first refuting member, and each row tries
+    first the member that last refuted a candidate."""
+    orders = [[c for c in members if not is_isomorphism(c)] for members, _ in rows]
+    masks = [0] * len(rows)
+    for p, k in enumerate(ks):
+        if (isos >> k) & 1:
+            masks = [mask | 1 << p for mask in masks]
             continue
-        m = u.map_at(j)
-        for pos, c in enumerate(order):
-            if not (lifts_bool(m, c) if letter == "l" else lifts_bool(c, m)):
-                order.insert(0, order.pop(pos))
-                break
-        else:
-            acc |= bit
-    return acc << start
+        m = maps[k]
+        for r, (order, (_, letter)) in enumerate(zip(orders, rows)):
+            for pos, c in enumerate(order):
+                if not (lifts_bool(m, c) if letter == "l" else lifts_bool(c, m)):
+                    order.insert(0, order.pop(pos))
+                    break
+            else:
+                masks[r] |= 1 << p
+    return masks
 
 
-def _step(u, members: Sequence[CMap], letter: str, jobs: int) -> int:
-    """One letter of a word, as a bitmask over universe ``u``: ``_keep`` over
-    the whole universe, in fixed blocks of ``STEP_BLOCK`` maps.  The order of
-    the members restarts in each block, so verdicts and ``lifts_bool`` calls
-    are the same for every ``jobs``."""
+def _step(maps: Sequence[CMap], isos: int, rows: Sequence[tuple], jobs: int,
+          ks: Optional[Sequence[int]] = None) -> list[int]:
+    """``_keep`` over ``ks`` (default: every map), in fixed blocks of
+    ``STEP_BLOCK`` positions, one pool for all rows.  The orders of the
+    members restart in each block, so verdicts and ``lifts_bool`` calls are
+    the same for every ``jobs``.  This is the only caller of ``pmap``."""
     from ._parallel import pmap
 
-    u.isos  # computed here, not once per pool worker
-    return sum(pmap(
-        lambda start: _keep(u, members, letter, start, min(start + STEP_BLOCK, len(u))),
-        range(0, len(u), STEP_BLOCK), jobs,
-    ))
+    ks = range(len(maps)) if ks is None else ks
+    starts = range(0, len(ks), STEP_BLOCK)
+    blocks = pmap(partial(_keep, maps, isos, rows), [ks[s:s + STEP_BLOCK] for s in starts], jobs)
+    return [sum(b[r] << s for s, b in zip(starts, blocks)) for r in range(len(rows))]
 
 
 def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) -> BoundedClass:
@@ -321,18 +317,15 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     u = get_universe(n)
     base = tuple(base)
     memo = base[0]._lazy if len(base) == 1 else {}
-    cur = None
+    cur = None  # indices of the class of the prefix read so far
     for end in range(1, len(word) + 1):
         key = ("word", word[:end], n)
-        got = memo.get(key)
-        if got is None:
-            members = base if cur is None else [
-                u.map_at(k) for k in range(len(u)) if (cur >> k) & 1
-            ]
-            got = memo[key] = _step(u, members, word[end - 1], jobs)
-        cur = got
-    indices = tuple(k for k in range(len(u)) if (cur >> k) & 1)
-    return BoundedClass(base, word, n, indices, exact=(len(word) == 1))
+        if key not in memo:
+            members = base if cur is None else [u.map_at(k) for k in cur]
+            mask, = _step(u.maps, u.isos, [(members, word[end - 1])], jobs)
+            memo[key] = tuple(k for k in range(len(u)) if (mask >> k) & 1)
+        cur = memo[key]
+    return BoundedClass(base, word, n, cur, exact=(len(word) == 1))
 
 
 # -- retracts in the arrow category -------------------------------------------
@@ -469,3 +462,24 @@ def bounded_factor(
                     continue
                 return i_map, p_map
     return None
+
+
+def factoring_maps(left: BoundedClass, right: BoundedClass) -> set[int]:
+    """Universe indices of the maps p∘α∘i with i in ``left`` into a catalog
+    space z, α an automorphism of z and p in ``right`` out of z.  Up to
+    isomorphism these are exactly the maps for which ``bounded_factor``
+    finds a pair, without a search per map."""
+    from .universe import automorphisms, get_universe
+
+    u = get_universe(left.n)
+    into: dict[int, list] = {}
+    for k in left.indices:
+        si, z, t = u.triples[k]
+        into.setdefault(z, []).append((si, t))
+    composites = set()
+    for k in right.indices:
+        z, di, p = u.triples[k]
+        for q in {tuple(p[y] for y in a) for a in automorphisms(u.spaces[z])}:  # each p∘α
+            composites.update((si, di, tuple(q[y] for y in t)) for si, t in into.get(z, ()))
+    return {u.index_of_map(map_from_tuple(u.spaces[si], u.spaces[di], t))
+            for si, di, t in composites}

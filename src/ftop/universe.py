@@ -299,7 +299,8 @@ def enumerate_spaces(n: int) -> tuple[Space, ...]:
             for item in payload["spaces"]
         )
         want = [m for m in range(n + 1) for _ in range(SPACE_COUNTS[m])]
-        return spaces if [len(s.points) for s in spaces] == want else None
+        ok = [len(s.points) for s in spaces] == want and len(set(spaces)) == len(spaces)
+        return spaces if ok else None
 
     def encode(spaces: tuple[Space, ...]) -> dict:
         return {
@@ -369,9 +370,6 @@ class Universe:
             self._cmaps[k] = got
         return got
 
-    def index_of_space(self, sp: Space) -> Optional[int]:
-        return self._space_index.get(space_key(sp))
-
     def index_of_map(self, f: CMap) -> Optional[int]:
         if len(f.src.points) > self.n or len(f.dst.points) > self.n:
             return None  # outside the universe; spares a canonicalization
@@ -415,10 +413,11 @@ def get_universe(n: int) -> Universe:
         raise CapacityError(f"map universe at n={n} (max {MAPS_MAX_N})")
 
     def decode(payload: dict) -> Optional[Universe]:
-        maps = payload["maps"]
-        if len(maps) != MAP_COUNTS[n]:
+        triples = [(si, di, tuple(t)) for si, di, t in payload["maps"]]
+        # _map_triples writes them strictly increasing, so a repeat breaks the order
+        if len(triples) != MAP_COUNTS[n] or any(a >= b for a, b in zip(triples, triples[1:])):
             return None
-        return Universe(n, enumerate_spaces(n), [(si, di, tuple(t)) for si, di, t in maps])
+        return Universe(n, enumerate_spaces(n), triples)
 
     def build() -> Universe:
         spaces = enumerate_spaces(n)

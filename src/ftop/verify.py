@@ -18,6 +18,10 @@ Claims are data.  A suite's claims are its rows of the orthogonal ladder
 ("lifting against an archetype = a predicate", swept over a universe), then
 its rows of ``_CHECKS`` (a named check function and its arguments), in table
 order.  One runner, ``_run_claims``, times every claim.
+
+Every lifting sweep is rows of one ``lifting._step``: a ladder word's
+letters, a suite's ``_SWEEPS`` rows over one subject, mlambda's subdivision
+checks.  Factorization coverage is enumerated by composition.
 """
 from __future__ import annotations
 
@@ -26,8 +30,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Optional
 
-from ._parallel import pmap
-from .lifting import bounded_factor, is_retract_of, lifts_bool, relative_orthogonal
+from .lifting import _step, factoring_maps, is_retract_of, relative_orthogonal
 from .parser import render
 from .properties import (
     admits_section,
@@ -130,36 +133,37 @@ def _verdict(bad: list, total: int, subject: str):
 class _Run:
     """One suite run: its bound, its pool size, and what its claims share,
     computed by the first claim that needs it: the mlambda left class, and
-    the suite's ``_SWEEPS`` verdicts per subject."""
+    per subject the disagreements of the suite's ``_SWEEPS`` rows."""
 
     def __init__(self, suite: str, n: int, jobs: int):
         self.suite = suite
         self.n = n
         self.jobs = jobs
-        self._sweeps: dict[str, tuple[tuple, list[int]]] = {}
+        self._sweeps: dict[str, tuple[int, dict[tuple, list[str]]]] = {}
 
-    def sweep(self, subject: str) -> tuple[tuple, list[int]]:
-        """The suite's ``_SWEEPS`` rows over ``subject`` as (side, archetype,
-        predicate), and per item of the subject a bitmask with bit r set when
-        the item agrees with row r; all rows in one pool."""
+    def sweep(self, subject: str) -> tuple[int, dict[tuple, list[str]]]:
+        """The number of items of ``subject``, and per ``_SWEEPS`` row of the
+        suite, keyed (side, archetype, predicate), the rendered items whose
+        lifting disagrees with the predicate.  The rows are one ``_step``;
+        the predicates are then evaluated here, in one walk over the items."""
         got = self._sweeps.get(subject)
         if got is None:
-            rows = tuple(
-                (side, arch, pred) for owner, _, _, side, arch, pred, subj in _SWEEPS
-                if owner == self.suite and subj == subject
-            )
-            total, item = _items(self.n, subject)
-
-            def agreements(k: int) -> int:
-                x = item(k)
-                f = CMap(EMPTY, x, {}) if subject == "spaces" else x
-                bits = 0
-                for r, (side, arch, pred) in enumerate(rows):
-                    holds = lifts_bool(f, arch) if side == "l" else lifts_bool(arch, f)
-                    bits |= (holds == pred(x)) << r
-                return bits
-
-            got = self._sweeps[subject] = (rows, pmap(agreements, range(total), self.jobs))
+            rows = [(side, arch, pred) for owner, _, _, side, arch, pred, subj in _SWEEPS
+                    if owner == self.suite and subj == subject]
+            if subject == "spaces":  # each space lifted as the map from the empty space
+                items = enumerate_spaces(self.n)
+                maps, isos = [CMap(EMPTY, x, {}) for x in items], 0  # none skipped
+            else:
+                u = get_universe(self.n)
+                items = maps = u.maps
+                isos = u.isos
+            masks = _step(maps, isos, [([arch], side) for side, arch, _ in rows], self.jobs)
+            bad: dict[tuple, list[str]] = {row: [] for row in rows}
+            for k, x in enumerate(items):
+                for row, mask in zip(rows, masks):
+                    if (mask >> k) & 1 != row[2](x):
+                        bad[row].append(render(x))
+            got = self._sweeps[subject] = (len(items), bad)
         return got
 
     @cached_property
@@ -297,21 +301,9 @@ _SWEEPS = (
 )
 
 
-def _items(n: int, subject: str) -> tuple[int, Callable]:
-    """The number of items of a sweep subject, and item k of it."""
-    if subject == "spaces":
-        spaces = enumerate_spaces(n)
-        return len(spaces), spaces.__getitem__
-    u = get_universe(n)
-    return len(u), u.map_at
-
-
 def _sweep(run: _Run, side: str, arch: CMap, pred: Callable, subject: str):
-    rows, bits = run.sweep(subject)
-    r = rows.index((side, arch, pred))
-    total, item = _items(run.n, subject)
-    bad = [render(item(k)) for k, b in enumerate(bits) if not (b >> r) & 1]
-    return _verdict(bad, total, subject)
+    total, bad = run.sweep(subject)
+    return _verdict(bad[(side, arch, pred)], total, subject)
 
 
 # -- single checks ----------------------------------------------------------------
@@ -334,8 +326,8 @@ def _two_routes(run: _Run):
 
 def _left_lifts_sub(run: _Run, k: int):
     left, u, g = run.left, get_universe(run.n), sub(k)  # a bound over 4 fails before a build
-    flags = pmap(lambda j: lifts_bool(u.map_at(j), g), left, run.jobs)
-    bad = [render(u.map_at(j)) for j, ok in zip(left, flags) if not ok]
+    ok, = _step(u.maps, u.isos, [([g], "l")], run.jobs, ks=left)
+    bad = [render(u.map_at(j)) for p, j in enumerate(left) if not (ok >> p) & 1]
     return _verdict(bad, len(left), "left-class maps")
 
 
@@ -394,24 +386,16 @@ def _retract(run: _Run):
 
 
 def _factorization(run: _Run):
-    n, jobs = run.n, run.jobs
-    u = get_universe(n)
-    left = relative_orthogonal([M_TO_LAMBDA], "l", n, jobs=jobs)
-    right = relative_orthogonal([M_TO_LAMBDA], "lr", n, jobs=jobs)
-
-    def factors(k: int) -> bool:
-        f = u.map_at(k)
-        pair = bounded_factor(f, left, right)
-        return pair is not None and compose(*pair) == f
-
-    flags = pmap(factors, range(len(u)), jobs)
-    missing = [render(u.map_at(k)) for k, ok in enumerate(flags) if not ok]
+    u = get_universe(run.n)
+    left, right = (relative_orthogonal([M_TO_LAMBDA], word, run.n, jobs=run.jobs)
+                   for word in ("l", "lr"))
+    found = factoring_maps(left, right)
     return (
         "caveat",
-        f"bounded factorization found for {sum(flags)}/{len(u)} maps "
+        f"bounded factorization found for {len(found)}/{len(u)} maps "
         "(exploration only: classes are bounded over-approximations and "
         "middle objects are capped)",
-        missing,
+        [render(u.map_at(k)) for k in range(len(u)) if k not in found],
     )
 
 

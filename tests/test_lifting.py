@@ -11,8 +11,12 @@ import pytest
 from ftop._solve import first_solution
 from ftop.errors import CapacityError, MapError
 from ftop.lifting import (
+    BoundedClass,
     Square,
+    _step,
+    bounded_factor,
     factor_search,
+    factoring_maps,
     fill,
     is_retract_of,
     lifting_matrix,
@@ -541,6 +545,26 @@ class TestRelativeOrthogonal:
             assert ((rows[i] >> j) & 1) == lifts_bool(u.map_at(i), u.map_at(j))
 
 
+class TestStep:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_and_index_subsets_match_single_steps(self, n, jobs):
+        u = get_universe(n)
+        rows = [
+            ([EMPTY_TO_POINT], "r"),
+            ([M_TO_LAMBDA], "l"),
+            ([EMPTY_TO_POINT, OPEN_POINT_INCL], "l"),
+            ([u.map_at(k) for k in range(0, len(u), 61 if n == 3 else 5)], "r"),
+        ]
+        together = _step(u.maps, u.isos, rows, jobs)
+        assert together == [_step(u.maps, u.isos, [row], jobs)[0] for row in rows]
+        assert 0 < together[1] < (1 << len(u)) - 1
+        # positions of ks, not universe indices; several blocks at n=3
+        ks = tuple(range(1, len(u), 3))
+        for full, part in zip(together, _step(u.maps, u.isos, rows, jobs, ks=ks)):
+            assert part == sum(((full >> k) & 1) << p for p, k in enumerate(ks))
+
+
 class TestRetract:
     def test_every_map_retracts_onto_itself(self):
         w = is_retract_of(M_TO_LAMBDA, M_TO_LAMBDA)
@@ -579,6 +603,35 @@ class TestFactorSearch:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             factor_search(M_TO_LAMBDA, [M_TO_LAMBDA], "", 3)
+
+
+class TestFactoringMaps:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("base", [M_TO_LAMBDA, EMPTY_TO_POINT],
+                             ids=["m_to_lambda", "empty_to_point"])
+    def test_composites_are_the_maps_bounded_factor_splits(self, base, n):
+        # oracle: a search for a factorization of each map in turn
+        u = get_universe(n)
+        left = relative_orthogonal([base], "l", n)
+        right = relative_orthogonal([base], "lr", n)
+        found = factoring_maps(left, right)
+        assert found == {k for k in range(len(u))
+                         if bounded_factor(u.map_at(k), left, right) is not None}
+        if base is M_TO_LAMBDA and n == 3:
+            assert len(found) == 135
+
+    def test_composites_need_every_automorphism_of_the_middle(self):
+        # for arbitrary index sets, not only orthogonal classes; with the
+        # identity as the only automorphism, 22 of 417 maps would be missed
+        u, rng = get_universe(3), random.Random(0)
+        left, right = (
+            BoundedClass((), word, 3, tuple(sorted(rng.sample(range(len(u)), size))), False)
+            for word, size in (("l", 200), ("lr", 60))
+        )
+        found = factoring_maps(left, right)
+        assert len(found) == 417
+        assert found == {k for k in range(len(u))
+                         if bounded_factor(u.map_at(k), left, right) is not None}
 
 
 class TestClosureLaws:

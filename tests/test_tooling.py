@@ -37,6 +37,20 @@ def test_cache_files_are_read_and_written_only_through_artifact():
                              ("universe.py", "_artifact", "_save_cache")]
 
 
+def test_pmap_is_called_only_by_the_lifting_step():
+    # every sweep is rows of lifting._step, so the pool has one caller, and
+    # it hands over a partial of a module-level function, not a closure
+    calls = [
+        (path.name, getattr(top, "name", None), ast.unparse(node.args[0]))
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pmap"
+    ]
+    assert calls == [("lifting.py", "_step", "partial(_keep, maps, isos, rows)")]
+
+
 # installs the benchmark's layer tracer, then counts a few small calls
 _TRACE = """
 import json

@@ -217,8 +217,14 @@ class TestDiskCache:
         assert uni.enumerate_spaces(3) == full
         assert len(uni._load_cache("spaces_n3")["spaces"]) == len(full)
 
-    @pytest.mark.parametrize("fault", ["empty list", "item dropped", "key missing", "string"])
-    @pytest.mark.parametrize("stem", ["spaces_n3", "maps_n2", "matrix_n2"])
+    # a duplicated item keeps every count; the matrix's sampled check is not
+    # meant to see a repeated row
+    @pytest.mark.parametrize("stem, fault", [
+        (stem, fault)
+        for stem in ("spaces_n3", "maps_n2", "matrix_n2")
+        for fault in ("empty list", "item dropped", "key missing", "string", "item duplicated")
+        if (stem, fault) != ("matrix_n2", "item duplicated")
+    ])
     def test_faulty_payload_is_rebuilt(self, stem, fault, tmp_path, monkeypatch):
         monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
         import ftop.universe as uni
@@ -235,6 +241,8 @@ class TestDiskCache:
         bad = dict(good)
         if fault == "key missing":
             del bad[key]
+        elif fault == "item duplicated":  # item 6 overwritten by item 5, of the same size
+            bad[key] = good[key][:6] + good[key][5:6] + good[key][7:]
         else:
             bad[key] = {"empty list": [], "item dropped": good[key][:-1],
                         "string": "corrupt"}[fault]
