@@ -20,6 +20,7 @@ from .errors import CapacityError, MapError
 from .space import (
     CMap, Space, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
 )
+from .universe import _artifact, automorphisms, get_universe
 
 MATRIX_MAX_N = 3  # largest bound for multi-letter words and the pairwise lifting matrix
 STEP_BLOCK = 64  # positions per work item of a _step
@@ -206,14 +207,10 @@ class BoundedClass:
         )
 
     def maps(self) -> list[CMap]:
-        from .universe import get_universe
-
         u = get_universe(self.n)
         return [u.map_at(k) for k in self.indices]
 
     def __contains__(self, f: CMap) -> bool:
-        from .universe import get_universe
-
         idx = get_universe(self.n).index_of_map(f)
         return idx is not None and idx in set(self.indices)
 
@@ -225,9 +222,9 @@ def _matrix_ok(u, rows: Sequence[int]) -> bool:
     """Spot-check a lifting matrix read from disk.  An isomorphism lifts
     against every map, so its row is all ones; and a fixed-seed sample of
     entries must agree with ``lifts_bool``."""
-    full, isos = (1 << len(u)) - 1, u.isos
+    full = (1 << len(u)) - 1
     if len(rows) != len(u) or any(
-        (isos >> k) & 1 and row != full for k, row in enumerate(rows)
+        row != full and is_isomorphism(u.map_at(k)) for k, row in enumerate(rows)
     ):
         return False
     rng = random.Random(0)
@@ -241,8 +238,6 @@ def _matrix_ok(u, rows: Sequence[int]) -> bool:
 def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
     """Pairwise lifting table over the n-universe: row i, bit j = m_i ⧄ m_j.
     Cached on disk and checked on load; word steps do not read it."""
-    from .universe import _artifact, get_universe
-
     if n > MATRIX_MAX_N:
         raise CapacityError(f"pairwise lifting matrix at n={n} (max {MATRIX_MAX_N})")
     u = get_universe(n)
@@ -252,26 +247,26 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
         return rows if _matrix_ok(u, rows) else None
 
     return _artifact(f"matrix_n{n}", decode,
-                     lambda: _step(u.maps, u.isos, [([m], "r") for m in u.maps], jobs),
+                     lambda: _step(u.maps, [([m], "r") for m in u.maps], jobs),
                      lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
-def _keep(maps: Sequence[CMap], isos: int, rows: Sequence[tuple], ks: Sequence[int]) -> list[int]:
+def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> list[int]:
     """Per row (members, letter), the bitmask over the positions p of ``ks``
     of the maps ``maps[ks[p]]`` that lift against every member (letter "l")
     or that every member lifts against (letter "r").
 
-    Isomorphisms (bits of ``isos``) lift both ways against every map, so
-    they are skipped as members and kept as candidates without a search.  A
-    candidate's test stops at the first refuting member, and each row tries
-    first the member that last refuted a candidate."""
+    Isomorphisms lift both ways against every map, so they are skipped as
+    members and kept as candidates without a search.  A candidate's test
+    stops at the first refuting member, and each row tries first the member
+    that last refuted a candidate."""
     orders = [[c for c in members if not is_isomorphism(c)] for members, _ in rows]
     masks = [0] * len(rows)
     for p, k in enumerate(ks):
-        if (isos >> k) & 1:
+        m = maps[k]
+        if is_isomorphism(m):
             masks = [mask | 1 << p for mask in masks]
             continue
-        m = maps[k]
         for r, (order, (_, letter)) in enumerate(zip(orders, rows)):
             for pos, c in enumerate(order):
                 if not (lifts_bool(m, c) if letter == "l" else lifts_bool(c, m)):
@@ -282,7 +277,7 @@ def _keep(maps: Sequence[CMap], isos: int, rows: Sequence[tuple], ks: Sequence[i
     return masks
 
 
-def _step(maps: Sequence[CMap], isos: int, rows: Sequence[tuple], jobs: int,
+def _step(maps: Sequence[CMap], rows: Sequence[tuple], jobs: int,
           ks: Optional[Sequence[int]] = None) -> list[int]:
     """``_keep`` over ``ks`` (default: every map), in fixed blocks of
     ``STEP_BLOCK`` positions, one pool for all rows.  The orders of the
@@ -292,8 +287,15 @@ def _step(maps: Sequence[CMap], isos: int, rows: Sequence[tuple], jobs: int,
 
     ks = range(len(maps)) if ks is None else ks
     starts = range(0, len(ks), STEP_BLOCK)
-    blocks = pmap(partial(_keep, maps, isos, rows), [ks[s:s + STEP_BLOCK] for s in starts], jobs)
+    blocks = pmap(partial(_keep, maps, rows), [ks[s:s + STEP_BLOCK] for s in starts], jobs)
     return [sum(b[r] << s for s, b in zip(starts, blocks)) for r in range(len(rows))]
+
+
+def _bits(mask: int, size: int) -> str:
+    """The ``size`` low bits of a ``_step`` mask as '0'/'1' characters,
+    bit k at index k: one conversion, where testing ``(mask >> k) & 1`` for
+    each k shifts the whole integer every time."""
+    return format(mask, f"0{size}b")[::-1]
 
 
 def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) -> BoundedClass:
@@ -306,8 +308,6 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     capped at n <= 3.  For a single-map base the class of every prefix is
     cached on the map, so words sharing a prefix share its steps.
     """
-    from .universe import get_universe
-
     if not word or set(word) - {"l", "r"}:
         raise ValueError("word must be a nonempty string over {l, r}")
     if n > 4:
@@ -322,8 +322,8 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
         key = ("word", word[:end], n)
         if key not in memo:
             members = base if cur is None else [u.map_at(k) for k in cur]
-            mask, = _step(u.maps, u.isos, [(members, word[end - 1])], jobs)
-            memo[key] = tuple(k for k in range(len(u)) if (mask >> k) & 1)
+            mask, = _step(u.maps, [(members, word[end - 1])], jobs)
+            memo[key] = tuple(k for k, b in enumerate(_bits(mask, len(u))) if b == "1")
         cur = memo[key]
     return BoundedClass(base, word, n, cur, exact=(len(word) == 1))
 
@@ -433,8 +433,6 @@ def bounded_factor(
 ) -> Optional[tuple[CMap, CMap]]:
     """Search middles of the bounded universe for f = p∘i with i/p in the
     given classes; classes are computed once by the caller."""
-    from .universe import get_universe
-
     n = left.n
     u = get_universe(n)
     if len(f.src.points) > n or len(f.dst.points) > n:
@@ -469,8 +467,6 @@ def factoring_maps(left: BoundedClass, right: BoundedClass) -> set[int]:
     space z, α an automorphism of z and p in ``right`` out of z.  Up to
     isomorphism these are exactly the maps for which ``bounded_factor``
     finds a pair, without a search per map."""
-    from .universe import automorphisms, get_universe
-
     u = get_universe(left.n)
     into: dict[int, list] = {}
     for k in left.indices:

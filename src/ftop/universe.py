@@ -14,7 +14,7 @@ import hashlib
 import itertools
 import json
 import os
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -350,16 +350,6 @@ class Universe:
     @property
     def maps(self) -> Sequence[CMap]:
         return _MapSeq(self)
-
-    @cached_property
-    def isos(self) -> int:
-        """Bitmask of the isomorphisms.  Catalog spaces are pairwise
-        non-homeomorphic, and a bijective self-map of a finite space is a
-        homeomorphism, so these are the bijective maps of a space to itself."""
-        return sum(
-            1 << k for k, (si, di, t) in enumerate(self.triples)
-            if si == di and len(set(t)) == len(t)
-        )
 
     def map_at(self, k: int) -> CMap:
         got = self._cmaps[k]

@@ -20,8 +20,9 @@ its rows of ``_CHECKS`` (a named check function and its arguments), in table
 order.  One runner, ``_run_claims``, times every claim.
 
 Every lifting sweep is rows of one ``lifting._step``: a ladder word's
-letters, a suite's ``_SWEEPS`` rows over one subject, mlambda's subdivision
-checks.  Factorization coverage is enumerated by composition.
+letters, or a suite's ``_SWEEPS`` rows over one subject, mlambda's
+subdivision checks among them.  Factorization coverage is enumerated by
+composition.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Optional
 
-from .lifting import _step, factoring_maps, is_retract_of, relative_orthogonal
+from .lifting import _bits, _step, factoring_maps, is_retract_of, relative_orthogonal
 from .parser import render
 from .properties import (
     admits_section,
@@ -151,17 +152,18 @@ class _Run:
             rows = [(side, arch, pred) for owner, _, _, side, arch, pred, subj in _SWEEPS
                     if owner == self.suite and subj == subject]
             if subject == "spaces":  # each space lifted as the map from the empty space
-                items = enumerate_spaces(self.n)
-                maps, isos = [CMap(EMPTY, x, {}) for x in items], 0  # none skipped
-            else:
-                u = get_universe(self.n)
-                items = maps = u.maps
-                isos = u.isos
-            masks = _step(maps, isos, [([arch], side) for side, arch, _ in rows], self.jobs)
+                items, ks = enumerate_spaces(self.n), None
+                maps = [CMap(EMPTY, x, {}) for x in items]
+            else:  # the left class first: a bound over 4 fails before a build
+                ks = self.left if subject == "left-class maps" else None
+                maps = get_universe(self.n).maps
+                items = maps if ks is None else [maps[k] for k in ks]
+            masks = _step(maps, [([arch], side) for side, arch, _ in rows], self.jobs, ks)
+            lifted = [_bits(mask, len(items)) for mask in masks]
             bad: dict[tuple, list[str]] = {row: [] for row in rows}
             for k, x in enumerate(items):
-                for row, mask in zip(rows, masks):
-                    if (mask >> k) & 1 != row[2](x):
+                for row, b in zip(rows, lifted):
+                    if (b[k] == "1") != row[2](x):
                         bad[row].append(render(x))
             got = self._sweeps[subject] = (len(items), bad)
         return got
@@ -194,6 +196,10 @@ def _summand_discrete(f: CMap) -> bool:
 
 def _summand_any(f: CMap) -> bool:
     return summand_inclusion(f, discrete_complement=False)
+
+
+def _always(f: CMap) -> bool:
+    return True
 
 
 def _automatic_sections(f: CMap) -> bool:
@@ -266,10 +272,11 @@ def _ladder(run: _Run, word: str, pred: Callable):
 # -- single-step equivalence sweeps ---------------------------------------------
 
 # (suite, claim id, anchor, side, archetype, predicate, subject): every item
-# of the universe lifts against the archetype ("l": item on the left, "r": on
-# the right) exactly when the predicate holds.  Items are the maps of the
-# n-universe, or for "spaces" the spaces of enumerate_spaces(n), lifted as the
-# map from the empty space.
+# lifts against the archetype ("l": item on the left, "r": on the right)
+# exactly when the predicate holds.  Items are the maps of the n-universe; for
+# "left-class maps" the members of the suite's left class, where the
+# predicate is always true; for "spaces" the spaces of enumerate_spaces(n),
+# lifted as the map from the empty space.
 _SWEEPS = (
     ("appendix32", "subsets.via_fwd_collapse",
      "left lifting against the 3-to-1 collapse decides subset inclusions",
@@ -298,6 +305,14 @@ _SWEEPS = (
      "left lifting against the zigzag collapse-to-point = disjoint closed "
      "pairs extend with exact preimages",
      "l", DISJOINT_CLOSURES_ARCHETYPE, closed_pair_extension, "maps"),
+    ("mlambda", "left_class_lifts_one_step_subdivision",
+     "every member of the bounded left class of the zigzag collapse "
+     "lifts against the one-step subdivision",
+     "l", sub(1), _always, "left-class maps"),
+    ("mlambda", "left_class_lifts_two_step_subdivision",
+     "every member of the bounded left class lifts against the "
+     "subdivision of the doubled zigzag",
+     "l", sub(2), _always, "left-class maps"),
 )
 
 
@@ -322,13 +337,6 @@ def _two_routes(run: _Run):
         if hereditarily_normal(x) != hereditarily_normal_by_separation(x)
     ]
     return _verdict(bad, len(spaces), "spaces")
-
-
-def _left_lifts_sub(run: _Run, k: int):
-    left, u, g = run.left, get_universe(run.n), sub(k)  # a bound over 4 fails before a build
-    ok, = _step(u.maps, u.isos, [([g], "l")], run.jobs, ks=left)
-    bad = [render(u.map_at(j)) for p, j in enumerate(left) if not (ok >> p) & 1]
-    return _verdict(bad, len(left), "left-class maps")
 
 
 def _discrete_members(run: _Run, restrict: Optional[Callable]):
@@ -412,12 +420,6 @@ _CHECKS = (
     ("normality", "hereditarily_normal_two_routes",
      "hereditary normality via subspaces agrees with the "
      "separated-pairs characterization", _two_routes),
-    ("mlambda", "left_class_lifts_one_step_subdivision",
-     "every member of the bounded left class of the zigzag collapse "
-     "lifts against the one-step subdivision", _left_lifts_sub, 1),
-    ("mlambda", "left_class_lifts_two_step_subdivision",
-     "every member of the bounded left class lifts against the "
-     "subdivision of the doubled zigzag", _left_lifts_sub, 2),
     ("mlambda", "discrete_domain_members_are_injective",
      "left-class members with discrete domain are injective",
      _discrete_claim, injective, None, "discrete-domain maps"),

@@ -170,6 +170,19 @@ class TestVerifyCommand:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
 
+    def test_mlambda_over_its_cap_exits_3_before_a_build(self, tmp_path, monkeypatch):
+        # the left class refuses n=5 before the universe is read, so the
+        # 1.6M-map catalog is never built
+        import ftop.universe as universe
+
+        def no_build(spaces):
+            raise AssertionError("the n=5 map catalog was built")
+
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(universe, "_map_triples", no_build)
+        assert main(["verify", "--suite", "mlambda", "-n", "5", "--jobs", "1"]) == 3
+        assert list(tmp_path.glob("maps_n5_*")) == []
+
     def test_suite_with_bound(self, capsys):
         rc = main(["verify", "--suite", "lemma21", "-n", "2", "--jobs", "1"])
         assert rc == 0

@@ -48,7 +48,19 @@ def test_pmap_is_called_only_by_the_lifting_step():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pmap"
     ]
-    assert calls == [("lifting.py", "_step", "partial(_keep, maps, isos, rows)")]
+    assert calls == [("lifting.py", "_step", "partial(_keep, maps, rows)")]
+
+
+def test_verify_steps_only_in_run_sweep():
+    # every verify sweep is a _SWEEPS row, so the rows of one subject share
+    # one _step and one pool
+    uses = []
+    for top in ast.parse((SRC / "verify.py").read_text()).body:
+        for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+            uses += [f"{getattr(top, 'name', None)}.{getattr(scope, 'name', None)}"
+                     for node in ast.walk(scope)
+                     if isinstance(node, ast.Name) and node.id == "_step"]
+    assert uses == ["_Run.sweep"]
 
 
 # installs the benchmark's layer tracer, then counts a few small calls
