@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Sequence
 
-from ._solve import _search, enum_hom, first_solution, hom
+from ._solve import _search, _table, enum_hom, first_solution, hom
 from .errors import CapacityError, MapError
 from .space import (
     CMap, Space, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
@@ -306,7 +306,8 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     current set.  Every letter is one ``_step``: the first against the base,
     each later one against the current class.  Words of length >= 2 are
     capped at n <= 3.  For a single-map base the class of every prefix is
-    cached on the map, so words sharing a prefix share its steps.
+    kept in the memo of the base's space pair, so words sharing a prefix
+    share its steps, and the classes die with either space.
     """
     if not word or set(word) - {"l", "r"}:
         raise ValueError("word must be a nonempty string over {l, r}")
@@ -316,10 +317,13 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
         raise CapacityError(f"multi-letter orthogonal words at n={n} (max {MATRIX_MAX_N})")
     u = get_universe(n)
     base = tuple(base)
-    memo = base[0]._lazy if len(base) == 1 else {}
+    if len(base) == 1:
+        memo, tag = _table(base[0].src, base[0].dst, "words"), base[0].as_tuple()
+    else:
+        memo, tag = {}, ()
     cur = None  # indices of the class of the prefix read so far
     for end in range(1, len(word) + 1):
-        key = ("word", word[:end], n)
+        key = (tag, word[:end], n)
         if key not in memo:
             members = base if cur is None else [u.map_at(k) for k in cur]
             mask, = _step(u.maps, [(members, word[end - 1])], jobs)

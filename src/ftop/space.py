@@ -307,7 +307,6 @@ def _set_slots(f: "CMap", src: Space, dst: Space, t: tuple[int, ...]) -> None:
     _setattr(f, "dst", dst)
     _setattr(f, "_t", t)
     _setattr(f, "_hash", None)
-    _setattr(f, "_lazy", {})
 
 
 def _cmap(src: Space, dst: Space, t: tuple[int, ...]) -> "CMap":
@@ -327,7 +326,7 @@ class CMap:
     taken on first use.
     """
 
-    __slots__ = ("src", "dst", "_t", "_hash", "_lazy")
+    __slots__ = ("src", "dst", "_t", "_hash")
 
     def __init__(self, src: Space, dst: Space, assign: Mapping[str, str]):
         missing = [p for p in src.points if p not in assign]

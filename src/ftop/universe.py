@@ -6,25 +6,28 @@ relation and every permutation achieving it; canonical keys, canonical
 labelings and automorphism groups all come from that one scan.  Maps between
 catalog spaces are reduced modulo independent domain/codomain automorphisms.
 Catalogs are cached on disk keyed by bound and a digest of the package source.
+The sorted triples ``(source, target, index tuple)`` are a universe's only
+index: each catalog map is built once per process, on first use of
+``Universe.maps``, and a map is looked up by bisecting the triples.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import itertools
 import json
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from ._solve import hom
 from .errors import CapacityError
-from .space import CMap, Space, map_from_tuple
+from .space import CMap, Space, _close, map_from_tuple, space_from_json, space_to_json
 
 SPACES_MAX_N = 6
 MAPS_MAX_N = 5
-CACHE_SCHEMA = 1
 _JSON_BLOCK = 64  # list items encoded per json.dumps call of a cache write
 # spaces per point count up to homeomorphism (OEIS A001930), and maps of the
 # n-point universe for n = 0..MAPS_MAX_N; a catalog read from disk must match
@@ -44,9 +47,9 @@ def cache_dir() -> Path:
 
 @lru_cache(maxsize=None)
 def _code_digest(root: Path = Path(__file__).parent) -> str:
-    """Digest of the package source and CACHE_SCHEMA: a cache file is read
-    back only by the code that wrote it."""
-    h = hashlib.sha256(f"schema {CACHE_SCHEMA}".encode())
+    """Digest of the package source: a cache file is read back only by the
+    code that wrote it."""
+    h = hashlib.sha256()
     for path in sorted(root.glob("*.py")):
         h.update(f"\0{path.name}\0".encode())
         h.update(path.read_bytes())
@@ -225,18 +228,7 @@ def _posets(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
         for bit, (i, j) in enumerate(pairs):
             if (mask >> bit) & 1:
                 rows[i] |= 1 << j
-        ok = True
-        for i in range(k):
-            need = 0
-            m = rows[i]
-            while m:
-                low = m & -m
-                need |= rows[low.bit_length() - 1]
-                m ^= low
-            if need & ~rows[i]:
-                ok = False
-                break
-        if ok:
+        if _close(k, rows[:]) == rows:  # transitive
             bits, perms = _scan(k, rows)
             if bits not in found:
                 found[bits] = (tuple(rows), _auts(perms))
@@ -294,43 +286,19 @@ def enumerate_spaces(n: int) -> tuple[Space, ...]:
         raise CapacityError(f"space catalog at n={n} (max {SPACES_MAX_N})")
 
     def decode(payload: dict) -> Optional[tuple[Space, ...]]:
-        spaces = tuple(
-            Space(item["points"], [tuple(p) for p in item["rel"]])
-            for item in payload["spaces"]
-        )
+        spaces = tuple(map(space_from_json, payload["spaces"]))
         want = [m for m in range(n + 1) for _ in range(SPACE_COUNTS[m])]
         ok = [len(s.points) for s in spaces] == want and len(set(spaces)) == len(spaces)
         return spaces if ok else None
 
-    def encode(spaces: tuple[Space, ...]) -> dict:
-        return {
-            "n": n,
-            "spaces": [
-                {"points": list(s.points), "rel": sorted(map(list, s.rel))}
-                for s in spaces
-            ],
-        }
-
     return _artifact(
         f"spaces_n{n}", decode,
-        lambda: tuple(s for m in range(n + 1) for s in _spaces_of_size(m)), encode,
+        lambda: tuple(s for m in range(n + 1) for s in _spaces_of_size(m)),
+        lambda spaces: {"n": n, "spaces": [space_to_json(s) for s in spaces]},
     )
 
 
 # -- map universe ---------------------------------------------------------------
-
-
-class _MapSeq(Sequence[CMap]):
-    def __init__(self, universe: "Universe"):
-        self._u = universe
-
-    def __len__(self) -> int:
-        return len(self._u)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._u.map_at(i) for i in range(*k.indices(len(self._u)))]
-        return self._u.map_at(k)
 
 
 class Universe:
@@ -339,26 +307,21 @@ class Universe:
     def __init__(self, n: int, spaces: Sequence[Space], triples: Sequence[tuple]):
         self.n = n
         self.spaces = tuple(spaces)
-        self.triples = tuple(triples)
+        self.triples = tuple(triples)  # strictly increasing
         self._space_index = {space_key(s): k for k, s in enumerate(self.spaces)}
-        self._map_index = {trip: k for k, trip in enumerate(self.triples)}
-        self._cmaps: list[Optional[CMap]] = [None] * len(self.triples)
 
     def __len__(self) -> int:
         return len(self.triples)
 
-    @property
-    def maps(self) -> Sequence[CMap]:
-        return _MapSeq(self)
+    @cached_property
+    def maps(self) -> tuple[CMap, ...]:
+        """Every catalog map, built on first use.  A sweep reads this in the
+        parent, so pool workers inherit the maps instead of building them."""
+        sp = self.spaces
+        return tuple(map_from_tuple(sp[si], sp[di], t) for si, di, t in self.triples)
 
     def map_at(self, k: int) -> CMap:
-        got = self._cmaps[k]
-        if got is None:
-            si, di, t = self.triples[k]
-            src, dst = self.spaces[si], self.spaces[di]
-            got = map_from_tuple(src, dst, t)
-            self._cmaps[k] = got
-        return got
+        return self.maps[k]
 
     def index_of_map(self, f: CMap) -> Optional[int]:
         if len(f.src.points) > self.n or len(f.dst.points) > self.n:
@@ -368,7 +331,9 @@ class Universe:
         di = self._space_index.get((nB, encB))
         if si is None or di is None:
             return None
-        return self._map_index.get((si, di, t))
+        key = (si, di, t)
+        k = bisect.bisect_left(self.triples, key)
+        return k if k < len(self.triples) and self.triples[k] == key else None
 
 
 def _map_triples(spaces: Sequence[Space]) -> list[tuple]:

@@ -1,6 +1,8 @@
 """Lifting solver against naive assignment-scan oracles."""
 import gc
 import itertools
+import multiprocessing as mp
+import os
 import random
 import tracemalloc
 from functools import reduce
@@ -304,6 +306,18 @@ class TestLifts:
         assert spaces_alive("m_") == 0
         assert key not in X._lazy
 
+    def test_word_memo_dies_with_the_base_spaces(self):
+        # the classes of a base's prefixes sit on its domain X under its
+        # codomain's identity; they must go when the codomain goes
+        base = parse_map("{w_a<-w_u->w_b}-->{w_a=w_u->w_b}")
+        X, t = base.src, base.as_tuple()
+        key = ("words", id(base.dst))
+        cls = relative_orthogonal([base], "lr", 2)
+        assert set(X._lazy[key][1]) == {(t, "l", 2), (t, "lr", 2)}
+        del base, cls
+        assert spaces_alive("w_") == 1  # X itself
+        assert key not in X._lazy
+
     def test_refuted_sweep_keeps_no_enumeration(self):
         # the fifth square refutes this; enumerations the short-circuit
         # abandons must keep nothing (an eager memo peaks at ~30 MB here)
@@ -390,6 +404,24 @@ class TestRelativeOrthogonal:
         b = relative_orthogonal([parse_map("{}-->{o}")], "r", 3, jobs=2)
         assert a.indices == b.indices
 
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="pools need fork")
+    def test_pool_workers_build_no_catalog_map(self, monkeypatch):
+        # the parent builds the catalog maps before the pool forks, so its
+        # workers inherit them instead of building them again
+        import ftop.universe as universe
+
+        expect = relative_orthogonal([parse_map("{}-->{o}")], "r", 3).indices
+        parent, build = os.getpid(), universe.map_from_tuple
+
+        def parent_only(*args):
+            assert os.getpid() == parent, "a pool worker built a catalog map"
+            return build(*args)
+
+        monkeypatch.setattr(universe, "map_from_tuple", parent_only)
+        monkeypatch.setattr(universe, "_MEMO", {})
+        cls = relative_orthogonal([parse_map("{}-->{o}")], "r", 3, jobs=2)
+        assert cls.indices == expect
+
     @pytest.mark.parametrize(
         "base",
         [[EMPTY_TO_POINT], [M_TO_LAMBDA], [EMPTY_TO_POINT, OPEN_POINT_INCL]],
@@ -474,8 +506,9 @@ class TestRelativeOrthogonal:
             calls.append((i, g))
             return lifts_bool(i, g)
 
-        def bases():  # fresh maps, so no class is cached on them
-            return CMap(EMPTY, POINT, {}), CMap(POINT, SIERPINSKI, {"o": "o"})
+        def bases():  # maps over fresh spaces, so no class is cached for them
+            point, sierpinski = Space(["o"], []), Space(["o", "c"], [("o", "c")])
+            return CMap(Space.empty(), point, {}), CMap(point, sierpinski, {"o": "o"})
 
         monkeypatch.setattr(lifting, "lifts_bool", counting)
         singles = [set(relative_orthogonal([b], "l", 3).indices) for b in bases()]

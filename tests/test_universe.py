@@ -12,6 +12,7 @@ from ftop.lifting import lifts_bool, monotone_maps, relative_orthogonal
 from ftop.registry import EMPTY_TO_POINT, M_TO_LAMBDA
 from ftop.space import CMap, Space, sub
 from ftop.universe import (
+    Universe,
     automorphisms,
     canonical_space,
     enumerate_maps,
@@ -128,6 +129,14 @@ class TestMapUniverse:
         k = u.index_of_map(f)
         assert k is not None
         assert map_key(u.map_at(k)) == map_key(f)
+
+    def test_index_of_map_inverts_map_at(self):
+        u = get_universe(3)
+        assert all(u.index_of_map(u.map_at(k)) == k for k in range(len(u)))
+        # a map whose triple is missing is not found, at either end too
+        for k in (0, len(u) // 2, len(u) - 1):
+            gap = Universe(3, u.spaces, u.triples[:k] + u.triples[k + 1:])
+            assert gap.index_of_map(u.map_at(k)) is None
 
     def test_index_of_map_outside_universe(self):
         u = get_universe(2)
