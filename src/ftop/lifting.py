@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Sequence
@@ -18,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 from ._solve import _search, _table, enum_hom, first_solution, hom
 from .errors import CapacityError, MapError
 from .space import (
-    CMap, Space, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
+    CMap, Space, _fibers, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
 )
 from .universe import _artifact, automorphisms, get_universe
 
@@ -29,13 +30,6 @@ STEP_BLOCK = 64  # positions per work item of a _step
 def monotone_maps(x: Space, y: Space) -> list[CMap]:
     """All continuous maps x -> y, in a deterministic canonical order."""
     return [map_from_tuple(x, y, t) for t in hom(x, y)]
-
-
-def _fibers(g: CMap) -> list[int]:
-    fib = [0] * len(g.dst.points)
-    for yk, bk in enumerate(g.as_tuple()):
-        fib[bk] |= 1 << yk
-    return fib
 
 
 @dataclass(frozen=True)
@@ -87,12 +81,18 @@ def _square(i: CMap, g: CMap, phi_t, f_t) -> Square:
     )
 
 
-def _fill_tuple(i: CMap, g: CMap, f_t, over: Sequence[int]) -> tuple[int, ...] | None:
-    """The least filler of the square (phi, f): f pinned onto phi's fibers."""
+def _pins(i: CMap, f_t, over: Sequence[int]) -> list[int]:
+    """Candidate masks of a filler of the square (phi, f): f pinned onto
+    phi's fibers ``over``."""
     cand = list(over)
     for xa, fa in zip(i.as_tuple(), f_t):
         cand[xa] &= 1 << fa
-    return first_solution(i.dst, g.src, cand)
+    return cand
+
+
+def _fill_tuple(i: CMap, g: CMap, f_t, over: Sequence[int]) -> tuple[int, ...] | None:
+    """The least filler of the square (phi, f)."""
+    return first_solution(i.dst, g.src, _pins(i, f_t, over))
 
 
 def fill(sq: Square) -> Optional[CMap]:
@@ -140,7 +140,10 @@ class LiftCertificate:
         sq = self.counterexample
         if sq is None:
             return False
-        return fill(sq) is None
+        # a fresh search, not the memo entry that ``lifts`` left for this square
+        fib, X = _fibers(sq.g), sq.i.dst
+        cand = _pins(sq.i, sq.f.as_tuple(), [fib[b] for b in sq.phi.as_tuple()])
+        return next(_search(X, sq.g.src, cand, X.linear_extension()), None) is None
 
     def to_json(self) -> dict:
         fillers: dict | str
@@ -212,7 +215,10 @@ class BoundedClass:
 
     def __contains__(self, f: CMap) -> bool:
         idx = get_universe(self.n).index_of_map(f)
-        return idx is not None and idx in set(self.indices)
+        if idx is None:
+            return False
+        k = bisect_left(self.indices, idx)  # indices are strictly increasing
+        return k < len(self.indices) and self.indices[k] == idx
 
 
 MATRIX_SAMPLE = 64  # entries of a loaded matrix re-decided by lifts_bool

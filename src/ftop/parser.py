@@ -18,52 +18,26 @@ import re
 from typing import Iterable
 
 from .errors import MapError, ParseError
-from .space import CMap, Space
+from .space import _NAME, CMap, Space, _fresh
 
-_NAME = re.compile(r"[A-Za-z0-9_']+")
-
-_LINKS = ("->", "<-", "<->")
+# One alternative per token kind, tried in order at each position, so
+# "-->" is read before "->" and "<->" before "<-".  Whitespace matches no
+# group and is skipped by the search; any other character is "bad".
+_TOKEN = re.compile(
+    r"(?P<punct>[{},=])|(?P<maparrow>-->)|(?P<link>->|<->|<-|[→←↔])"
+    rf"|(?P<name>{_NAME.pattern})|(?P<bad>\S)"
+)
+_ASCII_LINK = {"→": "->", "←": "<-", "↔": "<->"}
 
 
 def _tokens(text: str) -> list[tuple[str, str, int]]:
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "{},=":
-            out.append((ch, ch, i))
-            i += 1
-        elif ch == "→":
-            out.append(("link", "->", i))
-            i += 1
-        elif ch == "←":
-            out.append(("link", "<-", i))
-            i += 1
-        elif ch == "↔":
-            out.append(("link", "<->", i))
-            i += 1
-        elif text.startswith("-->", i):
-            out.append(("maparrow", "-->", i))
-            i += 3
-        elif text.startswith("<->", i):
-            out.append(("link", "<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            out.append(("link", "->", i))
-            i += 2
-        elif text.startswith("<-", i):
-            out.append(("link", "<-", i))
-            i += 2
-        else:
-            m = _NAME.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", i)
-            out.append(("name", m.group(), i))
-            i = m.end()
-    out.append(("eof", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", m.start())
+        out.append((tok if kind == "punct" else kind, _ASCII_LINK.get(tok, tok), m.start()))
+    out.append(("eof", "", len(text)))
     return out
 
 
@@ -281,14 +255,7 @@ def _render_map_text(f: CMap) -> str:
     moving = [p for p in src.points if p in dst and assign[p] != p]
     if moving:
         taken = set(src.points) | set(dst.points)
-        rename = {}
-        for p in src.points:
-            if p in moving:
-                fresh = p
-                while fresh in taken:
-                    fresh += "'"
-                taken.add(fresh)
-                rename[p] = fresh
+        rename = {p: _fresh(p, taken) for p in moving}
         newpts = [rename.get(p, p) for p in src.points]
         newrel = [(rename.get(a, a), rename.get(b, b)) for a, b in src.rel]
         src = Space(newpts, newrel)

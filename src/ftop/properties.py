@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ._solve import first_solution
-from .space import CMap, Space, _bits, _close
+from .space import CMap, Space, _bits, _close, _fibers
 
 
 def surjective(f: CMap) -> bool:
@@ -75,9 +75,7 @@ def quotient_map(f: CMap) -> bool:
 
 
 def admits_section(f: CMap) -> bool:
-    fib = [0] * len(f.dst.points)
-    for yk, bk in enumerate(f.as_tuple()):
-        fib[bk] |= 1 << yk
+    fib = _fibers(f)
     if 0 in fib:
         return False
     return first_solution(f.dst, f.src, fib) is not None

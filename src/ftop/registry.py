@@ -6,8 +6,7 @@ import re
 from .space import CMap, Space, lam, sub
 
 
-def _space(points, arrows):
-    return Space.from_arrows(points, arrows)
+_space = Space.from_arrows
 
 
 EMPTY = Space.empty()

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import CapacityError, MapError, SpaceError
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_']+\Z")
+_NAME = re.compile(r"[A-Za-z0-9_']+")  # a point name; the parser reads names with it too
 
 _OPENS_LIMIT = 16  # 2**16 subsets is the largest family we will materialize
 
@@ -37,6 +37,20 @@ def _close(n: int, up: list[int]) -> list[int]:
     return up
 
 
+def _check_names(pts: tuple) -> None:
+    """Raise on the first point, in order, that is not a name or repeats one."""
+    seen = set()
+    for p in pts:
+        if not isinstance(p, str) or not _NAME.fullmatch(p):
+            raise SpaceError(f"invalid point identifier {p!r}")
+        if p in seen:
+            raise SpaceError(f"duplicate point {p!r}")
+        seen.add(p)
+
+
+_setattr = object.__setattr__
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -50,7 +64,9 @@ class Space:
     The constructor accepts a relation that is already transitive (missing
     transitive pairs are rejected, pointing at one offender); reflexive pairs
     are implied and added if absent.  Use :meth:`from_arrows` to close an
-    arbitrary arrow set.
+    arbitrary arrow set.  Both build the ``up`` rows once and end in one
+    construction core, ``_fill``; ``from_arrows`` takes the closure once and
+    does not go through the constructor.
     """
 
     __slots__ = (
@@ -59,35 +75,27 @@ class Space:
 
     def __init__(self, points: Iterable[str], rel: Iterable[tuple[str, str]]):
         pts = tuple(points)
-        seen = set()
-        for p in pts:
-            if not isinstance(p, str) or not _NAME_RE.match(p):
-                raise SpaceError(f"invalid point identifier {p!r}")
-            if p in seen:
-                raise SpaceError(f"duplicate point {p!r}")
-            seen.add(p)
+        _check_names(pts)
         pairs = frozenset((str(a), str(b)) for a, b in rel)
-        for a, b in pairs:
-            if a not in seen or b not in seen:
-                stray = a if a not in seen else b
-                raise SpaceError(f"relation mentions unknown point {stray!r}")
         index = {p: k for k, p in enumerate(pts)}
         n = len(pts)
-        up = [0] * n
+        up = [1 << i for i in range(n)]
         for a, b in pairs:
+            if a not in index or b not in index:
+                raise SpaceError(f"relation mentions unknown point {a if a not in index else b!r}")
             up[index[a]] |= 1 << index[b]
-        closed = _close(n, list(up))
-        for i in range(n):
-            up[i] |= 1 << i
+        closed = _close(n, up[:])
         if closed != up:
-            for i in range(n):
-                extra = closed[i] & ~up[i]
-                if extra:
-                    j = next(_bits(extra))
-                    raise SpaceError(
-                        f"relation is not transitive: ({pts[i]!r}, {pts[j]!r}) is "
-                        "implied but missing"
-                    )
+            i = next(i for i in range(n) if closed[i] != up[i])
+            j = next(_bits(closed[i] & ~up[i]))
+            raise SpaceError(
+                f"relation is not transitive: ({pts[i]!r}, {pts[j]!r}) is implied but missing"
+            )
+        self._fill(pts, index, up)
+
+    def _fill(self, pts: tuple[str, ...], index: dict[str, int], up: list[int]) -> None:
+        """Set every slot from the points and their closed ``up`` rows."""
+        n = len(pts)
         down = [0] * n
         for i in range(n):
             for j in _bits(up[i]):
@@ -95,14 +103,14 @@ class Space:
         full = frozenset(
             (pts[i], pts[j]) for i in range(n) for j in _bits(up[i])
         )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "rel", full)
-        object.__setattr__(self, "_pset", frozenset(pts))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "up", tuple(up))
-        object.__setattr__(self, "down", tuple(down))
-        object.__setattr__(self, "_hash", hash((self._pset, full)))
-        object.__setattr__(self, "_lazy", {})
+        _setattr(self, "points", pts)
+        _setattr(self, "rel", full)
+        _setattr(self, "_pset", frozenset(pts))
+        _setattr(self, "_index", index)
+        _setattr(self, "up", tuple(up))
+        _setattr(self, "down", tuple(down))
+        _setattr(self, "_hash", hash((self._pset, full)))
+        _setattr(self, "_lazy", {})
 
     def __setattr__(self, name, value):  # immutability by construction
         raise AttributeError("Space is immutable")
@@ -136,19 +144,20 @@ class Space:
 
     @classmethod
     def from_arrows(cls, points: Iterable[str], arrows: Iterable[tuple[str, str]]) -> "Space":
-        """Build a space from generating arrows; the closure is taken here."""
+        """Build a space from generating arrows; the closure is taken here,
+        once, and the point names are checked after the arrows."""
         pts = tuple(points)
         index = {p: k for k, p in enumerate(pts)}
         n = len(pts)
         up = [0] * n
         for a, b in arrows:
             if a not in index or b not in index:
-                stray = a if a not in index else b
-                raise SpaceError(f"arrow mentions unknown point {stray!r}")
+                raise SpaceError(f"arrow mentions unknown point {a if a not in index else b!r}")
             up[index[a]] |= 1 << index[b]
-        _close(n, up)
-        rel = [(pts[i], pts[j]) for i in range(n) for j in _bits(up[i])]
-        return cls(pts, rel)
+        _check_names(pts)
+        x = object.__new__(cls)
+        x._fill(pts, index, _close(n, up))
+        return x
 
     @classmethod
     def empty(cls) -> "Space":
@@ -288,6 +297,14 @@ def _edges(x: Space) -> tuple[tuple[int, int], ...]:
     return got
 
 
+def _fibers(g: "CMap") -> list[int]:
+    """Per codomain point of ``g``, the mask of the domain points over it."""
+    fib = [0] * len(g.dst.points)
+    for yk, bk in enumerate(g._t):
+        fib[bk] |= 1 << yk
+    return fib
+
+
 def _check_monotone(src: Space, dst: Space, t: tuple[int, ...]) -> None:
     up = dst.up
     for i, j in _edges(src):
@@ -297,9 +314,6 @@ def _check_monotone(src: Space, dst: Space, t: tuple[int, ...]) -> None:
                 f"not monotone: {sp[i]!r}->{sp[j]!r} in the domain but "
                 f"{dp[t[i]]!r}->{dp[t[j]]!r} fails in the codomain"
             )
-
-
-_setattr = object.__setattr__
 
 
 def _set_slots(f: "CMap", src: Space, dst: Space, t: tuple[int, ...]) -> None:
@@ -437,8 +451,10 @@ def is_isomorphism(f: CMap) -> bool:
 
 
 def _fresh(name: str, taken: set[str]) -> str:
+    """``name`` primed until it is not in ``taken``; the result is taken."""
     while name in taken:
         name += "'"
+    taken.add(name)
     return name
 
 
@@ -449,9 +465,7 @@ def product(x: Space, y: Space) -> Space:
     pairs = []
     for a in x.points:
         for b in y.points:
-            nm = _fresh(f"{a}_{b}", taken)
-            taken.add(nm)
-            names.append(nm)
+            names.append(_fresh(f"{a}_{b}", taken))
             pairs.append((a, b))
     rel = []
     for i, (a1, b1) in enumerate(pairs):
@@ -489,11 +503,7 @@ def product_map(f: CMap, g: CMap) -> CMap:
 def coproduct(x: Space, y: Space) -> Space:
     """Disjoint union; y-points are primed on name collision."""
     taken = set(x.points)
-    ren = {}
-    for b in y.points:
-        nm = _fresh(b, taken)
-        taken.add(nm)
-        ren[b] = nm
+    ren = {b: _fresh(b, taken) for b in y.points}
     points = list(x.points) + [ren[b] for b in y.points]
     rel = list(x.rel) + [(ren[a], ren[b]) for a, b in y.rel]
     return Space(points, rel)
@@ -533,11 +543,7 @@ def cylinder(p: CMap) -> tuple[Space, CMap]:
     y, b = p.src, p.dst
     pa = p.assign
     taken = set(y.points)
-    ren = {}
-    for q in b.points:
-        nm = _fresh(q, taken)
-        taken.add(nm)
-        ren[q] = nm
+    ren = {q: _fresh(q, taken) for q in b.points}
     points = list(y.points) + [ren[q] for q in b.points]
     rel = list(y.rel)
     rel += [(ren[a], ren[c]) for a, c in b.rel]

@@ -83,6 +83,60 @@ class TestSpaceInvariants:
         assert ("a", "c") in x.rel
         assert all((p, p) in x.rel for p in "abc")
 
+    def test_from_arrows_does_not_go_through_the_constructor(self, monkeypatch):
+        def refuse(self, points, rel):
+            raise AssertionError("Space.__init__ called")
+
+        monkeypatch.setattr(Space, "__init__", refuse)
+        x = Space.from_arrows("abc", [("a", "b"), ("b", "c")])
+        assert x.points == ("a", "b", "c") and ("a", "c") in x.rel
+
+    def test_from_arrows_equals_the_constructor_on_the_closed_relation(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            pts = rng.sample("abcdefg", rng.randint(0, 7))
+            arrows = [(a, b) for a in pts for b in pts if rng.random() < 0.25]
+            closed = {(p, p) for p in pts} | set(arrows)
+            while True:  # oracle: add composites until none is new
+                more = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+                if not more:
+                    break
+                closed |= more
+            x, y = Space.from_arrows(pts, arrows), Space(pts, sorted(closed))
+            assert x.points == y.points == tuple(pts)
+            assert x.rel == y.rel == closed
+            assert (x.up, x.down, hash(x)) == (y.up, y.down, hash(y))
+
+    # inputs with two faults: which one each constructor reports
+    @pytest.mark.parametrize("points, rel, message", [
+        (["a", "a"], [("a", "z")], "duplicate point 'a'"),
+        (["a", "b", "c", "d e"], [("a", "b"), ("b", "c")], "invalid point identifier 'd e'"),
+        (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "z")],
+         "relation mentions unknown point 'z'"),
+        (["-", "a", "a"], [], "invalid point identifier '-'"),
+        (["a", "a", "-"], [], "duplicate point 'a'"),
+        ([1, "a"], [("a", "b")], "invalid point identifier 1"),
+        (["a", "b", "c", "d"], [("d", "c"), ("c", "b"), ("a", "b"), ("b", "a")],
+         "relation is not transitive: ('c', 'a') is implied but missing"),
+    ])
+    def test_constructor_reports_the_first_fault(self, points, rel, message):
+        with pytest.raises(SpaceError) as err:
+            Space(points, rel)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("points, arrows, message", [
+        (["a", "a"], [("a", "z")], "arrow mentions unknown point 'z'"),
+        (["-", "x"], [("x", "q")], "arrow mentions unknown point 'q'"),
+        (["a", "b", "-"], [("a", "b")], "invalid point identifier '-'"),
+        (["a", "a", "b"], [("b", "a")], "duplicate point 'a'"),
+        (["a", "b", "a", "c d"], [("a", "b"), ("b", "a")], "duplicate point 'a'"),
+        ([1, "a"], [("a", 1)], "invalid point identifier 1"),
+    ])
+    def test_from_arrows_reports_the_first_fault(self, points, arrows, message):
+        with pytest.raises(SpaceError) as err:
+            Space.from_arrows(points, arrows)
+        assert str(err.value) == message
+
     def test_random_spaces_are_reflexive_transitive(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -10,10 +10,11 @@ from operator import and_
 
 import pytest
 
-from ftop._solve import first_solution
+from ftop._solve import _table, first_solution
 from ftop.errors import CapacityError, MapError
 from ftop.lifting import (
     BoundedClass,
+    LiftCertificate,
     Square,
     _step,
     bounded_factor,
@@ -226,6 +227,24 @@ class TestFill:
 
 
 class TestLifts:
+    def test_counterexample_recheck_searches_afresh(self):
+        # a square that fills, presented as a counterexample, after its entry
+        # in the filler memo is overwritten with "no filler": the recheck
+        # must not take that entry's word for it
+        i = parse_map("{o->c}-->{o->c}")
+        g = parse_map("{a<-u->x<-v->b}-->{a<-u=x=v->b}")
+        assert lifts(i, g).holds
+        sq = squares(i, g)[-1]
+        gt, ft = g.as_tuple(), sq.f.as_tuple()
+        cand = [sum(1 << y for y, b in enumerate(gt) if b == pb) for pb in sq.phi.as_tuple()]
+        for a, x in enumerate(i.as_tuple()):
+            cand[x] &= 1 << ft[a]
+        memo = _table(i.dst, g.src, "first")
+        assert memo[tuple(cand)] is not None
+        memo[tuple(cand)] = None
+        assert fill(sq) is None  # fill reads the memo
+        assert not LiftCertificate(i, g, False, 1, (), sq).recheck()
+
     def test_surjectivity_encoding_small(self):
         from ftop.properties import surjective
 

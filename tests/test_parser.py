@@ -1,12 +1,107 @@
 """DSL grammar, error positions, and render round-trips."""
 import random
+import re
 
 import pytest
 
 from ftop.errors import MapError, ParseError
-from ftop.parser import parse_map, parse_space, render
+from ftop.parser import _tokens, parse_map, parse_space, render
 from ftop.registry import INDISCRETE2, LAMBDA, M, SIERPINSKI, registry
 from ftop.space import Space, lam, sub
+
+
+_ORACLE_NAME = re.compile(r"[A-Za-z0-9_']+")
+
+
+def oracle_tokens(text):
+    """Oracle: the character-by-character tokenizer that the one-pattern
+    ``_tokens`` replaced, kept verbatim."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "{},=":
+            out.append((ch, ch, i))
+            i += 1
+        elif ch == "→":
+            out.append(("link", "->", i))
+            i += 1
+        elif ch == "←":
+            out.append(("link", "<-", i))
+            i += 1
+        elif ch == "↔":
+            out.append(("link", "<->", i))
+            i += 1
+        elif text.startswith("-->", i):
+            out.append(("maparrow", "-->", i))
+            i += 3
+        elif text.startswith("<->", i):
+            out.append(("link", "<->", i))
+            i += 3
+        elif text.startswith("->", i):
+            out.append(("link", "->", i))
+            i += 2
+        elif text.startswith("<-", i):
+            out.append(("link", "<-", i))
+            i += 2
+        else:
+            m = _ORACLE_NAME.match(text, i)
+            if not m:
+                raise ParseError(f"unexpected character {ch!r}", i)
+            out.append(("name", m.group(), i))
+            i = m.end()
+    out.append(("eof", "", n))
+    return out
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+class TestTokens:
+    @pytest.mark.parametrize("text, kinds", [
+        ("<-->", [("link", "<-", 0), ("link", "->", 2)]),  # "<->" does not match at 0
+        ("<->->", [("link", "<->", 0), ("link", "->", 3)]),
+        ("x-->y", [("name", "x", 0), ("maparrow", "-->", 1), ("name", "y", 4)]),
+        ("a→b←c↔d", [("name", "a", 0), ("link", "->", 1), ("name", "b", 2),
+                     ("link", "<-", 3), ("name", "c", 4), ("link", "<->", 5),
+                     ("name", "d", 6)]),
+        ("a\tb", [("name", "a", 0), ("name", "b", 2)]),
+        ("a\nb", [("name", "a", 0), ("name", "b", 2)]),
+        ("a\u00a0b", [("name", "a", 0), ("name", "b", 2)]),
+        ("{a'=_0,}", [("{", "{", 0), ("name", "a'", 1), ("=", "=", 3),
+                      ("name", "_0", 4), (",", ",", 6), ("}", "}", 7)]),
+        ("", []),
+    ])
+    def test_token_lists(self, text, kinds):
+        assert _tokens(text) == kinds + [("eof", "", len(text))]
+
+    @pytest.mark.parametrize("text, char, position", [
+        ("--->", "-", 0),
+        ("-", "-", 0),
+        ("<", "<", 0),
+        (">", ">", 0),
+        ("a >b", ">", 2),
+        ("ab\u00e9", "\u00e9", 2),
+    ])
+    def test_unexpected_character(self, text, char, position):
+        with pytest.raises(ParseError) as err:
+            _tokens(text)
+        assert err.value.position == position
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+
+    def test_fuzz_against_the_character_loop(self):
+        rng = random.Random(0x70C)
+        alphabet = list("{},=-<>→←↔abzAZ09'_") + [" ", "\t", "\n", "\u00a0", "\u2003", "é", ";"]
+        for _ in range(50_000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
+            assert tokens_or_error(_tokens, text) == tokens_or_error(oracle_tokens, text), text
 
 
 class TestParseSpace:
