@@ -480,11 +480,11 @@ def factoring_maps(left: BoundedClass, right: BoundedClass) -> set[int]:
     u = get_universe(left.n)
     into: dict[int, list] = {}
     for k in left.indices:
-        si, z, t = u.triples[k]
+        si, z, t = u.triple(k)
         into.setdefault(z, []).append((si, t))
     composites = set()
     for k in right.indices:
-        z, di, p = u.triples[k]
+        z, di, p = u.triple(k)
         for q in {tuple(p[y] for y in a) for a in automorphisms(u.spaces[z])}:  # each p∘α
             composites.update((si, di, tuple(q[y] for y in t)) for si, t in into.get(z, ()))
     return {u.index_of_map(map_from_tuple(u.spaces[si], u.spaces[di], t))

@@ -76,11 +76,11 @@ class Space:
     def __init__(self, points: Iterable[str], rel: Iterable[tuple[str, str]]):
         pts = tuple(points)
         _check_names(pts)
-        pairs = frozenset((str(a), str(b)) for a, b in rel)
         index = {p: k for k, p in enumerate(pts)}
         n = len(pts)
         up = [1 << i for i in range(n)]
-        for a, b in pairs:
+        for a, b in rel:  # in input order, so a fault names the same point every run
+            a, b = str(a), str(b)
             if a not in index or b not in index:
                 raise SpaceError(f"relation mentions unknown point {a if a not in index else b!r}")
             up[index[a]] |= 1 << index[b]

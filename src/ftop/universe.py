@@ -6,9 +6,12 @@ relation and every permutation achieving it; canonical keys, canonical
 labelings and automorphism groups all come from that one scan.  Maps between
 catalog spaces are reduced modulo independent domain/codomain automorphisms.
 Catalogs are cached on disk keyed by bound and a digest of the package source.
-The sorted triples ``(source, target, index tuple)`` are a universe's only
-index: each catalog map is built once per process, on first use of
-``Universe.maps``, and a map is looked up by bisecting the triples.
+A universe stores its maps as blocks, one per (source, target) pair of
+catalog spaces: an array of the index tuples' base-|target| codes, in
+increasing order, on disk as hex.  A cached table of digit tuples decodes a
+code, so loading builds no object per map; each catalog map is built once per
+process, on first use of ``Universe.maps``, and a map is looked up by
+bisecting its block.
 """
 from __future__ import annotations
 
@@ -17,12 +20,15 @@ import contextlib
 import hashlib
 import itertools
 import json
+import operator
 import os
+import sys
+from array import array
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from ._solve import hom
+from ._solve import _search
 from .errors import CapacityError
 from .space import CMap, Space, _close, map_from_tuple, space_from_json, space_to_json
 
@@ -301,24 +307,84 @@ def enumerate_spaces(n: int) -> tuple[Space, ...]:
 # -- map universe ---------------------------------------------------------------
 
 
-class Universe:
-    """Canonical catalog of spaces and maps bounded by point count."""
+# A block holds the maps X -> Y of one pair of catalog spaces as codes in
+# base |Y|, most significant digit first (code = sum of t[x]*|Y|^(|X|-1-x)),
+# so numeric order is index-tuple order.  At MAPS_MAX_N = 5, |Y|^|X| <= 5^5
+# fits 16 bits.
+_CODE = "H"
 
-    def __init__(self, n: int, spaces: Sequence[Space], triples: Sequence[tuple]):
+
+@lru_cache(maxsize=None)
+def _digits(nX: int, nY: int) -> tuple[tuple[int, ...], ...]:
+    """The index tuple of each code of a block from nX into nY points."""
+    return tuple(itertools.product(range(nY), repeat=nX))
+
+
+def _code(t: Sequence[int], nY: int) -> int:
+    c = 0
+    for v in t:
+        c = c * nY + v
+    return c
+
+
+def _pack(codes: array) -> str:
+    """Codes as the hex of big-endian 16-bit words, on any host."""
+    if sys.byteorder == "little":
+        codes = array(_CODE, codes)
+        codes.byteswap()
+    return codes.tobytes().hex()
+
+
+def _unpack(text: str) -> array:
+    codes = array(_CODE, bytes.fromhex(text))
+    if sys.byteorder == "little":
+        codes.byteswap()
+    return codes
+
+
+class Universe:
+    """Canonical catalog of spaces and maps bounded by point count.
+
+    ``blocks`` lists ``(si, di, codes)`` in increasing order of (si, di),
+    one per pair of catalog spaces with a map between them, codes strictly
+    increasing.  Map k is code ``k - s`` of the block whose maps start at
+    index s."""
+
+    def __init__(self, n: int, spaces: Sequence[Space], blocks: Iterable[tuple[int, int, array]]):
         self.n = n
         self.spaces = tuple(spaces)
-        self.triples = tuple(triples)  # strictly increasing
+        self.blocks = tuple(blocks)
+        self._starts = list(itertools.accumulate((len(b[2]) for b in self.blocks), initial=0))
+        self._block = {(si, di): (start, codes)
+                       for (si, di, codes), start in zip(self.blocks, self._starts)}
         self._space_index = {space_key(s): k for k, s in enumerate(self.spaces)}
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return self._starts[-1]
+
+    def _table(self, si: int, di: int) -> tuple[tuple[int, ...], ...]:
+        return _digits(len(self.spaces[si].points), len(self.spaces[di].points))
+
+    def triple(self, k: int) -> tuple[int, int, tuple[int, ...]]:
+        """Map k as (source index, target index, index tuple)."""
+        k = range(len(self))[k]
+        b = bisect.bisect_right(self._starts, k) - 1
+        si, di, codes = self.blocks[b]
+        return si, di, self._table(si, di)[codes[k - self._starts[b]]]
+
+    def iter_triples(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """Every map as ``triple`` gives it, in index order."""
+        for si, di, codes in self.blocks:
+            table = self._table(si, di)
+            for c in codes:
+                yield si, di, table[c]
 
     @cached_property
     def maps(self) -> tuple[CMap, ...]:
         """Every catalog map, built on first use.  A sweep reads this in the
         parent, so pool workers inherit the maps instead of building them."""
         sp = self.spaces
-        return tuple(map_from_tuple(sp[si], sp[di], t) for si, di, t in self.triples)
+        return tuple(map_from_tuple(sp[si], sp[di], t) for si, di, t in self.iter_triples())
 
     def map_at(self, k: int) -> CMap:
         return self.maps[k]
@@ -327,37 +393,38 @@ class Universe:
         if len(f.src.points) > self.n or len(f.dst.points) > self.n:
             return None  # outside the universe; spares a canonicalization
         nA, encA, nB, encB, t = map_key(f)
-        si = self._space_index.get((nA, encA))
-        di = self._space_index.get((nB, encB))
-        if si is None or di is None:
+        index = self._space_index
+        got = self._block.get((index.get((nA, encA)), index.get((nB, encB))))
+        if got is None:
             return None
-        key = (si, di, t)
-        k = bisect.bisect_left(self.triples, key)
-        return k if k < len(self.triples) and self.triples[k] == key else None
+        start, codes = got
+        c = _code(t, nB)
+        j = bisect.bisect_left(codes, c)
+        return start + j if j < len(codes) and codes[j] == c else None
 
 
-def _map_triples(spaces: Sequence[Space]) -> list[tuple]:
+def _map_blocks(spaces: Sequence[Space]) -> list[tuple[int, int, array]]:
+    """Per pair of spaces, the least member of each orbit of hom(X, Y) under
+    Aut(X) x Aut(Y).  ``_search`` yields hom(X, Y) in increasing order, so
+    the first member seen of an orbit is its least, and each block is packed
+    as it is enumerated."""
     auts = [automorphisms(s) for s in spaces]
-    triples: list[tuple] = []
+    blocks = []
     for si, X in enumerate(spaces):
-        auts_x = auts[si]
         nX = len(X.points)
+        order = tuple(range(nX))
         for di, Y in enumerate(spaces):
-            auts_y = auts[di]  # a group: it holds the inverse of each member
-            reps = set()
-            seen = set()
-            for t in hom(X, Y):
-                if t in seen:
-                    continue
-                orbit = {
-                    tuple(b[t[a[k]]] for k in range(nX))
-                    for a in auts_x
-                    for b in auts_y
-                }
-                seen |= orbit
-                reps.add(min(orbit))
-            triples.extend((si, di, t) for t in sorted(reps))
-    return triples
+            nY = len(Y.points)
+            codes = array(_CODE)
+            seen: set[tuple[int, ...]] = set()  # one hom-set at a time
+            for t in _search(X, Y, ((1 << nY) - 1,) * nX, order):
+                if t not in seen:
+                    codes.append(_code(t, nY))
+                    # auts[di] is a group: it holds the inverse of each member
+                    seen.update(tuple(b[t[i]] for i in a) for a in auts[si] for b in auts[di])
+            if codes:
+                blocks.append((si, di, codes))
+    return blocks
 
 
 def get_universe(n: int) -> Universe:
@@ -368,20 +435,28 @@ def get_universe(n: int) -> Universe:
         raise CapacityError(f"map universe at n={n} (max {MAPS_MAX_N})")
 
     def decode(payload: dict) -> Optional[Universe]:
-        triples = [(si, di, tuple(t)) for si, di, t in payload["maps"]]
-        # _map_triples writes them strictly increasing, so a repeat breaks the order
-        if len(triples) != MAP_COUNTS[n] or any(a >= b for a, b in zip(triples, triples[1:])):
-            return None
-        return Universe(n, enumerate_spaces(n), triples)
+        spaces = enumerate_spaces(n)
+        size = [len(s.points) for s in spaces]
+        blocks, last = [], (-1, -1)
+        for si, di, count, text in payload["maps"]:
+            codes = _unpack(text)
+            if not (0 <= si < len(spaces) and 0 <= di < len(spaces) and last < (si, di)
+                    and count == len(codes) > 0 and codes[-1] < size[di] ** size[si]
+                    and all(map(operator.lt, codes, codes[1:]))):
+                return None
+            blocks.append((si, di, codes))
+            last = (si, di)
+        uni = Universe(n, spaces, blocks)
+        return uni if len(uni) == MAP_COUNTS[n] else None
 
     def build() -> Universe:
         spaces = enumerate_spaces(n)
-        return Universe(n, spaces, _map_triples(spaces))
+        return Universe(n, spaces, _map_blocks(spaces))
 
     return _artifact(
         f"maps_n{n}", decode, build,
-        # json writes a tuple as a list; no second copy of the catalog
-        lambda uni: {"n": n, "maps": list(uni.triples)},
+        lambda uni: {"n": n, "maps": [[si, di, len(codes), _pack(codes)]
+                                      for si, di, codes in uni.blocks]},
     )
 
 

@@ -179,7 +179,7 @@ class TestVerifyCommand:
             raise AssertionError("the n=5 map catalog was built")
 
         monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(universe, "_map_triples", no_build)
+        monkeypatch.setattr(universe, "_map_blocks", no_build)
         assert main(["verify", "--suite", "mlambda", "-n", "5", "--jobs", "1"]) == 3
         assert list(tmp_path.glob("maps_n5_*")) == []
 

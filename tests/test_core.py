@@ -1,11 +1,16 @@
 """Core space/map operations against hand-expanded and brute-force oracles."""
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import ftop
 from ftop.errors import MapError, SpaceError
 from ftop.registry import (
     EMPTY,
@@ -113,6 +118,7 @@ class TestSpaceInvariants:
         (["a", "b", "c", "d e"], [("a", "b"), ("b", "c")], "invalid point identifier 'd e'"),
         (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "z")],
          "relation mentions unknown point 'z'"),
+        (["a"], [("a", "y"), ("a", "z"), ("b", "a")], "relation mentions unknown point 'y'"),
         (["-", "a", "a"], [], "invalid point identifier '-'"),
         (["a", "a", "-"], [], "duplicate point 'a'"),
         ([1, "a"], [("a", "b")], "invalid point identifier 1"),
@@ -123,6 +129,20 @@ class TestSpaceInvariants:
         with pytest.raises(SpaceError) as err:
             Space(points, rel)
         assert str(err.value) == message
+
+    def test_unknown_point_message_does_not_depend_on_the_hash_seed(self):
+        # the first unknown point in input order, not in a set's order
+        code = ("from ftop.space import Space\n"
+                "try:\n    Space(['a'], [('a', 'y'), ('a', 'z'), ('b', 'a')])\n"
+                "except Exception as err:\n    print(err)\n")
+        src = str(Path(ftop.__file__).resolve().parents[1])
+        outs = {
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=60, env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                                                PYTHONPATH=src)).stdout
+            for seed in (0, 1, 2)
+        }
+        assert outs == {"relation mentions unknown point 'y'\n"}
 
     @pytest.mark.parametrize("points, arrows, message", [
         (["a", "a"], [("a", "z")], "arrow mentions unknown point 'z'"),
@@ -556,7 +576,7 @@ class TestLeanMap:
 
     def test_universe_maps_are_small(self):
         u = get_universe(3)
-        fresh = Universe(3, u.spaces, u.triples)
+        fresh = Universe(3, u.spaces, u.blocks)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -578,7 +578,7 @@ class TestRelativeOrthogonal:
             i, j = sample[0]
             bad[i] ^= 1 << j
         else:  # a row the sample never reads, so only the row check sees it
-            k = next(k for k, (si, di, _) in enumerate(u.triples)
+            k = next(k for k, (si, di, _) in enumerate(u.iter_triples())
                      if si == di and is_isomorphism(u.map_at(k))
                      and k not in {i for i, _ in sample})
             bad[k] = 0

@@ -3,10 +3,13 @@ import itertools
 import json
 import os
 import shutil
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
 
+from ftop._solve import hom
 from ftop.errors import CapacityError
 from ftop.lifting import lifts_bool, monotone_maps, relative_orthogonal
 from ftop.registry import EMPTY_TO_POINT, M_TO_LAMBDA
@@ -47,6 +50,62 @@ def oracle_class_count(n):
         )
         classes.add(key)
     return len(classes)
+
+
+def orbit_triples(spaces):
+    """The catalog's maps by the orbit scan over each hom-set: per pair of
+    spaces, the least member of each orbit under Aut(X) x Aut(Y), sorted."""
+    triples = []
+    for si, x in enumerate(spaces):
+        for di, y in enumerate(spaces):
+            reps, seen = set(), set()
+            for t in hom(x, y):
+                if t not in seen:
+                    orbit = {tuple(b[t[i]] for i in a)
+                             for a in automorphisms(x) for b in automorphisms(y)}
+                    seen |= orbit
+                    reps.add(min(orbit))
+            triples += [(si, di, t) for t in sorted(reps)]
+    return triples
+
+
+def packed(triples, spaces):
+    """Blocks (si, di, codes) of sorted triples: a tuple's code reads it as
+    a base-|Y| number, first entry most significant."""
+    blocks = []
+    for (si, di), group in itertools.groupby(triples, key=lambda tr: tr[:2]):
+        base = len(spaces[di].points)
+        blocks.append((si, di, array("H", [
+            sum(v * base ** (len(t) - 1 - x) for x, v in enumerate(t)) for _, _, t in group])))
+    return blocks
+
+
+def monotone_tuples(x, y):
+    """Every monotone index tuple x -> y, by filtering all functions."""
+    for t in itertools.product(range(len(y.points)), repeat=len(x.points)):
+        if all((y.up[t[i]] >> t[j]) & 1
+               for i in range(len(t)) for j in range(len(t)) if (x.up[i] >> j) & 1):
+            yield t
+
+
+def burnside_orbits(x, y):
+    """Orbits of the monotone maps x -> y under Aut(x) x Aut(y), acting by
+    t -> b∘t∘a: the mean number of maps each group element fixes."""
+    auts_x, auts_y = automorphisms(x), automorphisms(y)
+    maps = list(monotone_tuples(x, y))
+    fixed = sum(tuple(b[t[i]] for i in a) == t for a in auts_x for b in auts_y for t in maps)
+    orbits, rest = divmod(fixed, len(auts_x) * len(auts_y))
+    assert rest == 0
+    return orbits
+
+
+def hex_codes(text):
+    """A block's hex as codes: four hex digits, big-endian, per code."""
+    return [int(text[k:k + 4], 16) for k in range(0, len(text), 4)]
+
+
+def code_hex(codes):
+    return "".join(f"{c:04x}" for c in codes)
 
 
 class TestSpaceEnumeration:
@@ -134,8 +193,10 @@ class TestMapUniverse:
         u = get_universe(3)
         assert all(u.index_of_map(u.map_at(k)) == k for k in range(len(u)))
         # a map whose triple is missing is not found, at either end too
+        triples = list(u.iter_triples())
         for k in (0, len(u) // 2, len(u) - 1):
-            gap = Universe(3, u.spaces, u.triples[:k] + u.triples[k + 1:])
+            gap = Universe(3, u.spaces, packed(triples[:k] + triples[k + 1:], u.spaces))
+            assert len(gap) == len(u) - 1
             assert gap.index_of_map(u.map_at(k)) is None
 
     def test_index_of_map_outside_universe(self):
@@ -178,6 +239,25 @@ class TestMapUniverse:
         with pytest.raises(CapacityError):
             get_universe(6)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_block_sizes_match_burnside(self, n):
+        # an orbit count that does not run the orbit scan, for every pair of
+        # catalog spaces, those with no map between them included
+        u = get_universe(n)
+        sizes = {(si, di): len(codes) for si, di, codes in u.blocks}
+        for si, x in enumerate(u.spaces):
+            for di, y in enumerate(u.spaces):
+                assert sizes.get((si, di), 0) == burnside_orbits(x, y), (si, di)
+
+    def test_triple_is_a_sequence_index(self):
+        u = get_universe(3)
+        triples = list(u.iter_triples())
+        assert [u.triple(k) for k in range(len(u))] == triples
+        assert u.triple(-1) == triples[-1] and u.triple(-len(u)) == triples[0]
+        for k in (len(u), -len(u) - 1):
+            with pytest.raises(IndexError):
+                u.triple(k)
+
 
 class TestDiskCache:
     def test_universe_cache_round_trip(self, tmp_path, monkeypatch):
@@ -189,7 +269,7 @@ class TestDiskCache:
         assert (tmp_path / f"maps_n2_{uni._code_digest()}.json").exists()
         monkeypatch.setattr(uni, "_MEMO", {})
         second = uni.get_universe(2)
-        assert first.triples == second.triples
+        assert first.blocks == second.blocks
         assert [first.map_at(k) for k in range(len(first))] == [
             second.map_at(k) for k in range(len(second))
         ]
@@ -234,7 +314,7 @@ class TestDiskCache:
 
         key, load = {
             "spaces_n3": ("spaces", lambda: uni.enumerate_spaces(3)),
-            "maps_n2": ("maps", lambda: uni.get_universe(2).triples),
+            "maps_n2": ("maps", lambda: uni.get_universe(2).blocks),
             "matrix_n2": ("rows", lambda: lifting_matrix(2)),
         }[stem]
         monkeypatch.setattr(uni, "_MEMO", {})
@@ -252,6 +332,85 @@ class TestDiskCache:
         monkeypatch.setattr(uni, "_MEMO", {})
         assert load() == built
         assert uni._load_cache(stem) == good
+
+    # each fault keeps every other check passing, the count sum included
+    @pytest.mark.parametrize("fault", [
+        "codes out of order", "code out of range", "count disagrees", "repeated key",
+        "key out of range", "empty block",
+    ])
+    def test_faulty_map_block_is_rebuilt(self, fault, tmp_path, monkeypatch):
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        monkeypatch.setattr(uni, "_MEMO", {})
+        built = uni.get_universe(3).blocks
+        size = [len(s.points) for s in uni.enumerate_spaces(3)]
+        good = uni._load_cache("maps_n3")
+        bad = [list(block) for block in good["maps"]]
+        if fault == "codes out of order":
+            block = next(b for b in bad if b[2] >= 2)
+            codes = hex_codes(block[3])
+            block[3] = code_hex([codes[1], codes[0]] + codes[2:])
+        elif fault == "code out of range":
+            block = next(b for b in bad if size[b[0]] > 0)
+            codes = hex_codes(block[3])
+            block[3] = code_hex(codes[:-1] + [size[block[1]] ** size[block[0]]])
+        elif fault == "count disagrees":
+            bad[3][2] += 1
+            bad[-1][2] -= 1
+        elif fault == "repeated key":  # between spaces of the same sizes
+            k = next(k for k in range(len(bad) - 1)
+                     if [size[i] for i in bad[k][:2]] == [size[i] for i in bad[k + 1][:2]])
+            bad[k + 1][:2] = bad[k][:2]
+        elif fault == "key out of range":
+            bad[-1][1] = len(size)
+        else:  # from the point into the empty space, between its neighbours
+            k = next(k for k, b in enumerate(bad) if b[0] == 1)
+            bad.insert(k, [1, 0, 0, ""])
+        assert bad != good["maps"]
+        uni._save_cache("maps_n3", dict(good, maps=bad))
+        monkeypatch.setattr(uni, "_MEMO", {})
+        assert uni.get_universe(3).blocks == built
+        assert uni._load_cache("maps_n3") == good
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_decoded_catalog_is_the_orbit_scan_packed(self, n, tmp_path, monkeypatch):
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        monkeypatch.setattr(uni, "_MEMO", {})
+        uni.get_universe(n)  # built and saved
+        monkeypatch.setattr(uni, "_MEMO", {})
+        loaded = uni.get_universe(n)  # decoded from the file
+        spaces = uni.enumerate_spaces(n)
+        want = orbit_triples(spaces)
+        assert list(loaded.iter_triples()) == want
+        assert loaded.blocks == tuple(packed(want, spaces))
+        assert len(loaded) == uni.MAP_COUNTS[n]
+
+    def test_warm_load_builds_nothing_per_map(self, monkeypatch):
+        import ftop.universe as uni
+
+        monkeypatch.setattr(uni, "_MEMO", {})
+        uni.get_universe(4)  # the file, and the spaces, loaded or built
+        del uni._MEMO["maps_n4"]
+        tracemalloc.start()
+        try:
+            u = uni.get_universe(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(u) == 25586
+        assert peak < 2 * 2**20
+
+    def test_cold_build_keeps_no_enumeration_memo(self, tmp_path, monkeypatch):
+        # the build enumerates each hom-set once; no memo outlives it
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        monkeypatch.setattr(uni, "_MEMO", {})
+        u = uni.get_universe(3)
+        assert [key for s in u.spaces for key in s._lazy if key[:1] == ("enum",)] == []
 
     def test_code_digest_follows_the_package_source(self, tmp_path):
         import ftop.universe as uni
