@@ -7,7 +7,6 @@ everything runs inline, and results are identical either way.
 """
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -29,7 +28,11 @@ def pmap(fn: Callable[[T], R], items: Iterable[T], jobs: int | None) -> list[R]:
     seq: Sequence[T] = list(items)
     if jobs is None:
         jobs = default_jobs()
-    if jobs <= 1 or len(seq) < 2 or "fork" not in mp.get_all_start_methods():
+    if jobs <= 1 or len(seq) < 2:
+        return [fn(x) for x in seq]
+    import multiprocessing as mp  # here, so that a serial run never imports it
+
+    if "fork" not in mp.get_all_start_methods():
         return [fn(x) for x in seq]
     global _WORK
     _WORK = fn

@@ -11,157 +11,153 @@ Grammar (whitespace insignificant, ASCII output; unicode arrows accepted):
 "x->y" declares y in the closure of x.  Inside a standalone space expression
 "=" joins aliases of one point; inside the codomain of a map expression it is
 the gluing syntax: each domain name must land in exactly one codomain class.
+
+A parse is one pass over the bare token strings of ``_TOKEN.findall``.  An
+error knows only the index of its token; it tokenizes the text again with
+``_tokens`` to find that token's offset.  ``_tokens`` raises on the first
+unexpected character itself, so such a character, wherever it sits, is
+reported before any grammar or class error.
 """
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .errors import MapError, ParseError
-from .space import _NAME, CMap, Space, _fresh
+from .space import _NAME, CMap, Space, _fresh, map_from_tuple
 
-# One alternative per token kind, tried in order at each position, so
-# "-->" is read before "->" and "<->" before "<-".  Whitespace matches no
-# group and is skipped by the search; any other character is "bad".
-_TOKEN = re.compile(
-    r"(?P<punct>[{},=])|(?P<maparrow>-->)|(?P<link>->|<->|<-|[→←↔])"
-    rf"|(?P<name>{_NAME.pattern})|(?P<bad>\S)"
-)
-_ASCII_LINK = {"→": "->", "←": "<-", "↔": "<->"}
+# One alternation, tried in order at each position, so "-->" is read before
+# "->" and "<->" before "<-".  Whitespace matches nothing and is skipped by
+# the search; any other character is a token of its own, and a bad one.
+_TOKEN = re.compile(rf"-->|<->|->|<-|[→←↔{{}},=]|{_NAME.pattern}|\S")
+_LINK = {"->": "->", "<-": "<-", "<->": "<->", "→": "->", "←": "<-", "↔": "<->"}
+_KIND = dict.fromkeys(_LINK, "link") | {"-->": "maparrow", "{": "{", "}": "}", ",": ",", "=": "="}
 
 
 def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, ASCII text, offset)`` of each token, then an "eof" token."""
     out = []
     for m in _TOKEN.finditer(text):
-        kind, tok = m.lastgroup, m.group()
-        if kind == "bad":
+        tok = m.group()
+        kind = _KIND.get(tok) or _NAME.match(tok) and "name"
+        if not kind:
             raise ParseError(f"unexpected character {tok!r}", m.start())
-        out.append((tok if kind == "punct" else kind, _ASCII_LINK.get(tok, tok), m.start()))
+        out.append((kind, _LINK.get(tok, tok), m.start()))
     out.append(("eof", "", len(text)))
     return out
 
 
-class _Classes:
-    """Name classes of one space expression ("="-groups, union of mentions)."""
-
-    def __init__(self) -> None:
-        self.key_of: dict[str, int] = {}
-        self.members: list[list[str]] = []
-        self.ids: list[str] = []
-
-    def node(self, names: list[str], pos: int) -> int:
-        if len(set(names)) != len(names):
-            raise ParseError("repeated name inside one '='-class", pos)
-        existing = {self.key_of[n] for n in names if n in self.key_of}
-        if len(existing) > 1:
-            raise ParseError(
-                f"names {names} join two distinct '='-classes", pos
-            )
-        if existing:
-            k = existing.pop()
-            cur = self.members[k]
-            if set(names) <= set(cur):
-                return k
-            if len(cur) == 1 and cur[0] in names:
-                self.members[k] = list(names)
-                for n in names:
-                    self.key_of[n] = k
-                return k
-            clash = next(n for n in names if n in self.key_of)
-            raise ParseError(
-                f"name {clash!r} appears in two distinct '='-classes", pos
-            )
-        k = len(self.members)
-        self.members.append(list(names))
-        self.ids.append(names[0])
-        for n in names:
-            self.key_of[n] = k
-        return k
-
-    def space(self, arrows: Iterable[tuple[int, int]]) -> Space:
-        return Space.from_arrows(
-            self.ids, [(self.ids[a], self.ids[b]) for a, b in arrows]
-        )
+def _error(text: str, k: int, message: str) -> ParseError:
+    return ParseError(message, _tokens(text)[k][2])
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokens(text)
-        self.k = 0
+def _expected(text: str, k: int, kind: str) -> ParseError:
+    _, shown, pos = _tokens(text)[k]
+    return ParseError(f"expected {kind!r}, found {shown or 'end of input'!r}", pos)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.k]
 
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.toks[self.k]
-        if tok[0] != kind:
-            shown = tok[1] or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok[2])
-        self.k += 1
-        return tok
+def _space_expr(text: str, toks: list[str], k: int):
+    """Read the space at ``toks[k]``: ``(space, key_of, groups, next k)``.
+    ``key_of`` sends a name to its class, which is the index of its point,
+    and ``groups`` holds the names of each class written with "="."""
+    if toks[k] != "{":
+        raise _expected(text, k, "{")
+    k += 1
+    key_of: dict[str, int] = {}
+    ids: list[str] = []
+    groups: dict[int, list[str]] = {}
+    arrows = []
+    link = None
+    if toks[k] != "}":
+        while True:
+            t = toks[k]
+            if toks[k + 1] == "=":
+                c, k = _group(text, toks, k, key_of, ids, groups)
+            else:
+                c = key_of.get(t)
+                if c is None:
+                    if not _NAME.match(t):
+                        raise _expected(text, k, "name")
+                    c = key_of[t] = len(ids)
+                    ids.append(t)
+                k += 1
+            if link:
+                if link != "<-":
+                    arrows.append((ids[left], ids[c]))
+                if link != "->":
+                    arrows.append((ids[c], ids[left]))
+            left, link = c, _LINK.get(toks[k])
+            if not link and toks[k] != ",":
+                break
+            k += 1
+    if toks[k] != "}":
+        raise _expected(text, k, "}")
+    return Space.from_arrows(ids, arrows), key_of, groups, k + 1
 
-    def node(self, classes: _Classes) -> int:
-        kind, name, pos = self.take("name")
-        names = [name]
-        while self.peek()[0] == "=":
-            self.take("=")
-            names.append(self.take("name")[1])
-        return classes.node(names, pos)
 
-    def space_expr(self) -> tuple[_Classes, list[tuple[int, int]]]:
-        self.take("{")
-        classes = _Classes()
-        arrows: list[tuple[int, int]] = []
-        if self.peek()[0] != "}":
-            while True:
-                left = self.node(classes)
-                while self.peek()[0] == "link":
-                    link = self.take("link")[1]
-                    right = self.node(classes)
-                    if link in ("->", "<->"):
-                        arrows.append((left, right))
-                    if link in ("<-", "<->"):
-                        arrows.append((right, left))
-                    left = right
-                if self.peek()[0] != ",":
-                    break
-                self.take(",")
-        self.take("}")
-        return classes, arrows
+def _group(text, toks, k, key_of, ids, groups) -> tuple[int, int]:
+    """Read the node ``name ("=" name)+`` at ``toks[k]``: its class and the
+    next k.  A class named again is named by a subset, or grows from one name."""
+    start, names = k, []
+    while True:
+        if not _NAME.match(toks[k]):
+            raise _expected(text, k, "name")
+        names.append(toks[k])
+        if toks[k + 1] != "=":
+            break
+        k += 2
+    if len(set(names)) != len(names):
+        raise _error(text, start, "repeated name inside one '='-class")
+    existing = {key_of[n] for n in names if n in key_of}
+    if len(existing) > 1:
+        raise _error(text, start, f"names {names} join two distinct '='-classes")
+    if existing:
+        c = existing.pop()
+        cur = groups.get(c, [ids[c]])
+        if set(names) <= set(cur):
+            return c, k + 1
+        if len(cur) > 1:
+            clash = next(n for n in names if n in key_of)
+            raise _error(text, start, f"name {clash!r} appears in two distinct '='-classes")
+    else:
+        c = len(ids)
+        ids.append(names[0])
+    groups[c] = names
+    for n in names:
+        key_of[n] = c
+    return c, k + 1
+
+
+def _token_list(text: str) -> list[str]:
+    return _TOKEN.findall(text) + ["", ""]  # ends twice: a node peeks one past its name
 
 
 def parse_space(text: str) -> Space:
-    p = _Parser(text)
-    classes, arrows = p.space_expr()
-    p.take("eof")
-    return classes.space(arrows)
+    toks = _token_list(text)
+    space, _, _, k = _space_expr(text, toks, 0)
+    if toks[k]:
+        raise _expected(text, k, "eof")
+    return space
 
 
 def parse_map(text: str) -> CMap:
-    p = _Parser(text)
-    dom_classes, dom_arrows = p.space_expr()
-    p.take("maparrow")
-    cod_classes, cod_arrows = p.space_expr()
-    p.take("eof")
-    src = dom_classes.space(dom_arrows)
-    dst = cod_classes.space(cod_arrows)
-    assign = {}
-    for k, names in enumerate(dom_classes.members):
-        targets = set()
-        for n in names:
-            ck = cod_classes.key_of.get(n)
-            if ck is None:
-                raise MapError(
-                    f"domain name {n!r} does not occur in the codomain"
-                )
-            targets.add(ck)
+    toks = _token_list(text)
+    src, dom_key, dom_groups, k = _space_expr(text, toks, 0)
+    if toks[k] != "-->":
+        raise _expected(text, k, "maparrow")
+    dst, cod_key, _, k = _space_expr(text, toks, k + 1)
+    if toks[k]:
+        raise _expected(text, k, "eof")
+    t = []
+    for j, p in enumerate(src.points):
+        names = dom_groups.get(j, (p,))
+        targets = {cod_key.get(n) for n in names}
+        if None in targets:
+            n = next(n for n in names if n not in cod_key)
+            raise MapError(f"domain name {n!r} does not occur in the codomain")
         if len(targets) > 1:
-            raise MapError(
-                f"domain class {'='.join(names)} is split across "
-                "two codomain classes"
-            )
-        assign[dom_classes.ids[k]] = cod_classes.ids[targets.pop()]
-    return CMap(src, dst, assign)
+            raise MapError(f"domain class {'='.join(names)} is split across two codomain classes")
+        t.append(targets.pop())
+    return map_from_tuple(src, dst, t)
 
 
 # -- rendering ---------------------------------------------------------------

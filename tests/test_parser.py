@@ -1,13 +1,14 @@
 """DSL grammar, error positions, and render round-trips."""
 import random
 import re
+from typing import Iterable
 
 import pytest
 
-from ftop.errors import MapError, ParseError
+from ftop.errors import FtopError, MapError, ParseError
 from ftop.parser import _tokens, parse_map, parse_space, render
 from ftop.registry import INDISCRETE2, LAMBDA, M, SIERPINSKI, registry
-from ftop.space import Space, lam, sub
+from ftop.space import CMap, Space, lam, map_from_tuple, sub
 
 
 _ORACLE_NAME = re.compile(r"[A-Za-z0-9_']+")
@@ -57,6 +58,132 @@ def oracle_tokens(text):
     return out
 
 
+class OracleClasses:
+    """Oracle: name classes of one space expression ("="-groups, union of
+    mentions), kept verbatim from the parser objects the flat pass replaced."""
+
+    def __init__(self) -> None:
+        self.key_of: dict[str, int] = {}
+        self.members: list[list[str]] = []
+        self.ids: list[str] = []
+
+    def node(self, names: list[str], pos: int) -> int:
+        if len(set(names)) != len(names):
+            raise ParseError("repeated name inside one '='-class", pos)
+        existing = {self.key_of[n] for n in names if n in self.key_of}
+        if len(existing) > 1:
+            raise ParseError(
+                f"names {names} join two distinct '='-classes", pos
+            )
+        if existing:
+            k = existing.pop()
+            cur = self.members[k]
+            if set(names) <= set(cur):
+                return k
+            if len(cur) == 1 and cur[0] in names:
+                self.members[k] = list(names)
+                for n in names:
+                    self.key_of[n] = k
+                return k
+            clash = next(n for n in names if n in self.key_of)
+            raise ParseError(
+                f"name {clash!r} appears in two distinct '='-classes", pos
+            )
+        k = len(self.members)
+        self.members.append(list(names))
+        self.ids.append(names[0])
+        for n in names:
+            self.key_of[n] = k
+        return k
+
+    def space(self, arrows: Iterable[tuple[int, int]]) -> Space:
+        return Space.from_arrows(
+            self.ids, [(self.ids[a], self.ids[b]) for a, b in arrows]
+        )
+
+
+class OracleParser:
+    """Oracle: the recursive descent the flat pass replaced, kept verbatim."""
+
+    def __init__(self, text: str):
+        self.toks = oracle_tokens(text)
+        self.k = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.k]
+
+    def take(self, kind: str) -> tuple[str, str, int]:
+        tok = self.toks[self.k]
+        if tok[0] != kind:
+            shown = tok[1] or "end of input"
+            raise ParseError(f"expected {kind!r}, found {shown!r}", tok[2])
+        self.k += 1
+        return tok
+
+    def node(self, classes: OracleClasses) -> int:
+        kind, name, pos = self.take("name")
+        names = [name]
+        while self.peek()[0] == "=":
+            self.take("=")
+            names.append(self.take("name")[1])
+        return classes.node(names, pos)
+
+    def space_expr(self) -> tuple[OracleClasses, list[tuple[int, int]]]:
+        self.take("{")
+        classes = OracleClasses()
+        arrows: list[tuple[int, int]] = []
+        if self.peek()[0] != "}":
+            while True:
+                left = self.node(classes)
+                while self.peek()[0] == "link":
+                    link = self.take("link")[1]
+                    right = self.node(classes)
+                    if link in ("->", "<->"):
+                        arrows.append((left, right))
+                    if link in ("<-", "<->"):
+                        arrows.append((right, left))
+                    left = right
+                if self.peek()[0] != ",":
+                    break
+                self.take(",")
+        self.take("}")
+        return classes, arrows
+
+
+def oracle_parse_space(text: str) -> Space:
+    p = OracleParser(text)
+    classes, arrows = p.space_expr()
+    p.take("eof")
+    return classes.space(arrows)
+
+
+def oracle_parse_map(text: str) -> CMap:
+    p = OracleParser(text)
+    dom_classes, dom_arrows = p.space_expr()
+    p.take("maparrow")
+    cod_classes, cod_arrows = p.space_expr()
+    p.take("eof")
+    src = dom_classes.space(dom_arrows)
+    dst = cod_classes.space(cod_arrows)
+    assign = {}
+    for k, names in enumerate(dom_classes.members):
+        targets = set()
+        for n in names:
+            ck = cod_classes.key_of.get(n)
+            if ck is None:
+                raise MapError(
+                    f"domain name {n!r} does not occur in the codomain"
+                )
+            targets.add(ck)
+        if len(targets) > 1:
+            raise MapError(
+                f"domain class {'='.join(names)} is split across "
+                "two codomain classes"
+            )
+        assign[dom_classes.ids[k]] = cod_classes.ids[targets.pop()]
+    return CMap(src, dst, assign)
+
+
 def tokens_or_error(tokenize, text):
     try:
         return tokenize(text)
@@ -102,6 +229,108 @@ class TestTokens:
         for _ in range(50_000):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
             assert tokens_or_error(_tokens, text) == tokens_or_error(oracle_tokens, text), text
+
+
+def outcome(parse, text):
+    """What a parse gives: the points, relations and index tuple, or the
+    error's class, message and position."""
+    try:
+        v = parse(text)
+    except FtopError as err:
+        return type(err).__name__, str(err), getattr(err, "position", None)
+    if isinstance(v, Space):
+        return v.points, v.rel
+    return v.src.points, v.src.rel, v.dst.points, v.dst.rel, v.as_tuple()
+
+
+_FUZZ_NAMES = ["a", "b", "c", "x", "a'", "_0"]
+_FUZZ_LINKS = ["->", "<-", "<->", "→", "←", "↔"]
+_FUZZ_PIECES = (_FUZZ_NAMES + _FUZZ_LINKS
+                + ["{", "}", ",", "=", "-->", ";", "é", "-", "<", ">", " ", " "])
+
+
+def grammar_text(rng, is_map):
+    """A text drawn from the grammar, over few names, so classes collide."""
+    def node():
+        return "=".join(rng.choice(_FUZZ_NAMES) for _ in range(rng.choice((1, 1, 1, 2, 3))))
+
+    def chain():
+        parts = [node()]
+        for _ in range(rng.randrange(3)):
+            parts += [rng.choice(_FUZZ_LINKS), node()]
+        return "".join(parts)
+
+    def space():
+        return "{" + ",".join(chain() for _ in range(rng.randrange(4))) + "}"
+
+    return space() + "-->" + space() if is_map else space()
+
+
+def rendered_maps(rng, count):
+    """Texts of random monotone maps, written by ``render``."""
+    out = []
+    while len(out) < count:
+        spaces = []
+        for _ in range(2):
+            pts = rng.sample(_FUZZ_NAMES, rng.randint(1, 4))
+            spaces.append(Space.from_arrows(
+                pts, [(p, q) for p in pts for q in pts if p != q and rng.random() < 0.3]))
+        src, dst = spaces
+        try:
+            f = map_from_tuple(src, dst, [rng.randrange(len(dst)) for _ in src.points])
+        except MapError:
+            continue
+        out.append(render(f))
+    return out
+
+
+def mutate(rng, text):
+    """``text`` with one or two pieces inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 3))
+        piece = rng.choice(_FUZZ_PIECES)
+        text = rng.choice((text[:i] + piece + text[i:], text[:i] + text[j:],
+                           text[:i] + piece + text[j:]))
+    return text
+
+
+class TestAgainstTheDescent:
+    """The flat pass against the recursive descent it replaced."""
+
+    def test_fuzz(self):
+        rng = random.Random(0x16F)
+        renders = rendered_maps(rng, 300)
+        seen = set()
+        for _ in range(20_000):
+            is_map = rng.random() < 0.7
+            if is_map and rng.random() < 0.4:
+                text = rng.choice(renders)
+            else:
+                text = grammar_text(rng, is_map)
+            if rng.random() < 0.5:
+                text = mutate(rng, text)
+            new, old = (parse_map, oracle_parse_map) if is_map else (parse_space, oracle_parse_space)
+            got = outcome(new, text)
+            assert got == outcome(old, text), text
+            seen.add(re.match("(?:[a-z]+ )*", got[1]).group().strip() if isinstance(got[0], str)
+                     else "parsed")
+        # every rule of the grammar, of the classes and of the map was reached
+        assert seen == {"parsed", "unexpected character", "expected",
+                        "repeated name inside one", "names", "name", "domain name",
+                        "domain class", "not"}, seen
+
+    @pytest.mark.parametrize("text, error, message", [
+        # an unexpected character beats a class error before it
+        ("{a=a}-->{!}", ParseError, "unexpected character '!' (at position 9)"),
+        # a missing domain name is reported before a split class
+        ("{a=b=c}-->{a->b}", MapError, "domain name 'c' does not occur in the codomain"),
+    ])
+    def test_precedence(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_map(text)
+        assert str(err.value) == message
+        assert outcome(parse_map, text) == outcome(oracle_parse_map, text)
 
 
 class TestParseSpace:

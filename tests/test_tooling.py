@@ -139,3 +139,35 @@ def test_word_step_counts_do_not_depend_on_jobs():
     assert forked1 == 0 and forked2 > 0  # the second run really used a pool
     assert (idx1, calls1, squares1) == (idx2, calls2, squares2)
     assert len(idx1) == 514 and calls1 > 0
+
+
+def test_parser_has_one_tokenizer_and_no_parser_objects():
+    # one pattern serves the parse and the error offsets, and the parse is
+    # one pass of functions over a token list, with no parser state objects
+    tree = ast.parse((SRC / "parser.py").read_text())
+    compiles = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "re.compile"]
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert len(compiles) == 1 and classes == []
+
+
+# imports the package and the CLI, then decides one lifting question and
+# one serial word step, which passes through pmap
+_SERIAL = """
+import sys
+import ftop, ftop.cli
+from ftop.lifting import lifts, relative_orthogonal
+from ftop.parser import parse_map
+from ftop.registry import M_TO_LAMBDA, OPEN_POINT_INCL
+lifts(OPEN_POINT_INCL, M_TO_LAMBDA)
+relative_orthogonal([parse_map("{}-->{o}")], "r", 2, jobs=1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
+"""
+
+
+def test_a_serial_run_does_not_import_multiprocessing(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), FTOP_CACHE_DIR=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", _SERIAL], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
