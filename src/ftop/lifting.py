@@ -260,25 +260,27 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
 def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> list[int]:
     """Per row (members, letter), the bitmask over the positions p of ``ks``
     of the maps ``maps[ks[p]]`` that lift against every member (letter "l")
-    or that every member lifts against (letter "r").
+    or that every member lifts against (letter "r").  A row (members,
+    letter, predicate) instead sets the bits of the maps whose verdict
+    disagrees with ``predicate(map)``.
 
     Isomorphisms lift both ways against every map, so they are skipped as
     members and kept as candidates without a search.  A candidate's test
     stops at the first refuting member, and each row tries first the member
     that last refuted a candidate."""
-    orders = [[c for c in members if not is_isomorphism(c)] for members, _ in rows]
+    orders = [[c for c in row[0] if not is_isomorphism(c)] for row in rows]
     masks = [0] * len(rows)
     for p, k in enumerate(ks):
         m = maps[k]
-        if is_isomorphism(m):
-            masks = [mask | 1 << p for mask in masks]
-            continue
-        for r, (order, (_, letter)) in enumerate(zip(orders, rows)):
-            for pos, c in enumerate(order):
+        iso = is_isomorphism(m)
+        for r, (order, (_, letter, *pred)) in enumerate(zip(orders, rows)):
+            lifted = True
+            for pos, c in enumerate(() if iso else order):
                 if not (lifts_bool(m, c) if letter == "l" else lifts_bool(c, m)):
                     order.insert(0, order.pop(pos))
+                    lifted = False
                     break
-            else:
+            if lifted != (bool(pred) and pred[0](m)):
                 masks[r] |= 1 << p
     return masks
 

@@ -126,6 +126,10 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _of_dst(pred: Callable, f: CMap) -> bool:
+    return pred(f.dst)
+
+
 def _verdict(bad: list, total: int, subject: str):
     status = "fail" if bad else "pass"
     return status, f"{len(bad)} counterexamples over {total} {subject}", bad
@@ -145,26 +149,24 @@ class _Run:
     def sweep(self, subject: str) -> tuple[int, dict[tuple, list[str]]]:
         """The number of items of ``subject``, and per ``_SWEEPS`` row of the
         suite, keyed (side, archetype, predicate), the rendered items whose
-        lifting disagrees with the predicate.  The rows are one ``_step``;
-        the predicates are then evaluated here, in one walk over the items."""
+        lifting disagrees with the predicate.  The rows are one ``_step``,
+        which also evaluates the predicates, in the workers."""
         got = self._sweeps.get(subject)
         if got is None:
             rows = [(side, arch, pred) for owner, _, _, side, arch, pred, subj in _SWEEPS
                     if owner == self.suite and subj == subject]
+            steps = [([arch], side, pred) for side, arch, pred in rows]
             if subject == "spaces":  # each space lifted as the map from the empty space
                 items, ks = enumerate_spaces(self.n), None
                 maps = [CMap(EMPTY, x, {}) for x in items]
+                steps = [(members, side, partial(_of_dst, pred)) for members, side, pred in steps]
             else:  # the left class first: a bound over 4 fails before a build
                 ks = self.left if subject == "left-class maps" else None
                 maps = get_universe(self.n).maps
                 items = maps if ks is None else [maps[k] for k in ks]
-            masks = _step(maps, [([arch], side) for side, arch, _ in rows], self.jobs, ks)
-            lifted = [_bits(mask, len(items)) for mask in masks]
-            bad: dict[tuple, list[str]] = {row: [] for row in rows}
-            for k, x in enumerate(items):
-                for row, b in zip(rows, lifted):
-                    if (b[k] == "1") != row[2](x):
-                        bad[row].append(render(x))
+            masks = _step(maps, steps, self.jobs, ks)
+            bad = {row: [render(x) for x, b in zip(items, _bits(mask, len(items))) if b == "1"]
+                   for row, mask in zip(rows, masks)}
             got = self._sweeps[subject] = (len(items), bad)
         return got
 

@@ -51,6 +51,21 @@ def test_pmap_is_called_only_by_the_lifting_step():
     assert calls == [("lifting.py", "_step", "partial(_keep, maps, rows)")]
 
 
+def test_only_parallel_forks_and_nothing_imports_multiprocessing():
+    # pmap forks its own workers, so the package needs no multiprocessing
+    imports, forks = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports.append((path.name, node.module))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork":
+                forks.append(path.name)
+    assert [i for i in imports if (i[1] or "").split(".")[0] == "multiprocessing"] == []
+    assert forks == ["_parallel.py"]
+
+
 def test_verify_steps_only_in_run_sweep():
     # every verify sweep is a _SWEEPS row, so the rows of one subject share
     # one _step and one pool
@@ -151,8 +166,8 @@ def test_parser_has_one_tokenizer_and_no_parser_objects():
     assert len(compiles) == 1 and classes == []
 
 
-# imports the package and the CLI, then decides one lifting question and
-# one serial word step, which passes through pmap
+# imports the package and the CLI, then decides one lifting question, one
+# serial word step, which passes through pmap, and one forked word step
 _SERIAL = """
 import sys
 import ftop, ftop.cli
@@ -161,6 +176,7 @@ from ftop.parser import parse_map
 from ftop.registry import M_TO_LAMBDA, OPEN_POINT_INCL
 lifts(OPEN_POINT_INCL, M_TO_LAMBDA)
 relative_orthogonal([parse_map("{}-->{o}")], "r", 2, jobs=1)
+relative_orthogonal([parse_map("{}-->{o}")], "r", 3, jobs=2)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
 """
 
