@@ -18,7 +18,12 @@ class ParseError(FtopError, ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        # ``args`` holds only the formatted text, so rebuild from the parts
+        return type(self), (self.message, self.position), self.__dict__
 
 
 class CapacityError(FtopError, RuntimeError):

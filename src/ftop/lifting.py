@@ -4,7 +4,9 @@ A lifting problem for i: A -> X against g: Y -> B is a commutative square
 (f: A -> Y, phi: X -> B); "i lifts against g" means every such square admits a
 monotone diagonal h: X -> Y with h∘i = f and g∘h = phi.  Squares are
 enumerated in a fixed canonical order (phi lexicographic, then f), so failing
-certificates always report the least counterexample.
+certificates always report the least counterexample.  ``lifts`` and
+``lifts_bool`` share one square walk, ``_walk``, which looks up the pair
+memos of the solver once per call, not once per square.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional, Sequence
 
-from ._solve import _search, _table, enum_hom, first_solution, hom
+from ._solve import _recorded, _search, _table, enum_hom, first_solution, hom
 from .errors import CapacityError, MapError
 from .space import (
     CMap, Space, _fibers, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
@@ -53,26 +55,25 @@ class Square:
         return {"f": map_to_json(self.f), "phi": map_to_json(self.phi)}
 
 
-def _squares(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int]]]:
-    """(phi, f, over) of every commutative square from i to g, in canonical
-    order, as index tuples; over[x] is g's fiber over phi(x), one per phi."""
+def _squares(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(phi, f) of every commutative square from i to g, in canonical order,
+    as index tuples."""
     A, Y, B = i.src, g.src, g.dst
     if A.points and not Y.points:
         return  # there is no f: A -> Y, so no square
     it = i.as_tuple()
     fib = _fibers(g)
     for phi in hom(i.dst, B):
-        over = [fib[b] for b in phi]
-        cand = tuple([over[x] for x in it])
+        cand = tuple([fib[phi[x]] for x in it])
         if 0 in cand:
             continue
         for f in enum_hom(A, Y, cand):
-            yield phi, f, over
+            yield phi, f
 
 
 def squares(i: CMap, g: CMap) -> list[Square]:
     """All commutative squares from i to g."""
-    return [_square(i, g, phi_t, f_t) for phi_t, f_t, _ in _squares(i, g)]
+    return [_square(i, g, phi_t, f_t) for phi_t, f_t in _squares(i, g)]
 
 
 def _square(i: CMap, g: CMap, phi_t, f_t) -> Square:
@@ -102,12 +103,43 @@ def fill(sq: Square) -> Optional[CMap]:
     return None if t is None else map_from_tuple(sq.i.dst, sq.g.src, t)
 
 
+def _walk(i: CMap, g: CMap, fillers: Optional[list]) -> Optional[tuple]:
+    """Fill the squares from i to g in canonical order and return the
+    (phi, f) of the first unfillable one, or None; each least filler is
+    appended to ``fillers`` when it is a list.  The same steps as
+    ``_squares`` and ``_fill_tuple``, with the enumeration memo of (A, Y)
+    and the filler memo of (X, Y) looked up once per call, not per square."""
+    A, X, Y, B = i.src, i.dst, g.src, g.dst
+    if A.points and not Y.points:
+        return None  # there is no f: A -> Y, so no square
+    it = i.as_tuple()
+    fib = _fibers(g)
+    enum, first = _table(A, Y, "enum"), _table(X, Y, "first")
+    for phi in hom(X, B):
+        cand = tuple([fib[phi[x]] for x in it])
+        if 0 in cand:
+            continue
+        over = [fib[b] for b in phi]
+        fs = enum.get(cand)
+        for f in _recorded(A, Y, cand, enum) if fs is None else fs:
+            key = over[:]
+            for xa, fa in zip(it, f):
+                key[xa] &= 1 << fa
+            key = tuple(key)
+            try:
+                h = first[key]
+            except KeyError:
+                h = first[key] = next(_search(X, Y, key, X.linear_extension()), None)
+            if h is None:
+                return phi, f
+            if fillers is not None:
+                fillers.append(h)
+    return None
+
+
 def lifts_bool(i: CMap, g: CMap) -> bool:
     """Decide i ⧄ g, short-circuiting on the first unfillable square."""
-    for _, f_t, over in _squares(i, g):
-        if _fill_tuple(i, g, f_t, over) is None:
-            return False
-    return True
+    return _walk(i, g, None) is None
 
 
 @dataclass(frozen=True)
@@ -140,10 +172,11 @@ class LiftCertificate:
         sq = self.counterexample
         if sq is None:
             return False
-        # a fresh search, not the memo entry that ``lifts`` left for this square
+        # a fresh search in point order: neither the memo entry that ``lifts``
+        # left for this square nor the linear-extension search that made it
         fib, X = _fibers(sq.g), sq.i.dst
         cand = _pins(sq.i, sq.f.as_tuple(), [fib[b] for b in sq.phi.as_tuple()])
-        return next(_search(X, sq.g.src, cand, X.linear_extension()), None) is None
+        return next(_search(X, sq.g.src, cand, tuple(range(len(X.points)))), None) is None
 
     def to_json(self) -> dict:
         fillers: dict | str
@@ -170,15 +203,12 @@ class LiftCertificate:
 
 def lifts(i: CMap, g: CMap) -> LiftCertificate:
     """Decide i ⧄ g with a full certificate (fillers or one counterexample)."""
-    fillers = []
-    count = 0
-    for phi_t, f_t, over in _squares(i, g):
-        count += 1
-        h = _fill_tuple(i, g, f_t, over)
-        if h is None:
-            return LiftCertificate(i, g, False, count, (), _square(i, g, phi_t, f_t))
-        fillers.append(map_from_tuple(i.dst, g.src, h))
-    return LiftCertificate(i, g, True, count, tuple(fillers), None)
+    fillers: list = []
+    bad = _walk(i, g, fillers)
+    if bad is not None:
+        return LiftCertificate(i, g, False, len(fillers) + 1, (), _square(i, g, *bad))
+    return LiftCertificate(i, g, True, len(fillers),
+                           tuple(map_from_tuple(i.dst, g.src, h) for h in fillers), None)
 
 
 # -- bounded orthogonal classes ----------------------------------------------
@@ -384,7 +414,7 @@ def is_retract_of(f: CMap, g: CMap) -> Optional[RetractWitness]:
     C, D = g.src, g.dst
     ft, gt = f.as_tuple(), g.as_tuple()
     # a section (s_dom, s_cod) is a commutative square from f to g
-    for s_cod, s_dom, _ in _squares(f, g):
+    for s_cod, s_dom in _squares(f, g):
         # retraction on domains: pinned by r∘s = id
         pins = [(c, a) for a, c in enumerate(s_dom)]
         cand_r = _pinned(len(C.points), len(A.points), pins)

@@ -15,6 +15,8 @@ from ftop.lifting import (
     BoundedClass,
     LiftCertificate,
     Square,
+    _fill_tuple,
+    _squares,
     _step,
     bounded_factor,
     factor_search,
@@ -40,7 +42,7 @@ from ftop.registry import (
     POINT,
     SIERPINSKI,
 )
-from ftop.space import CMap, Space, compose, identity, is_isomorphism, sub
+from ftop.space import CMap, Space, _fibers, compose, identity, is_isomorphism, sub
 from ftop.universe import get_universe
 
 
@@ -358,6 +360,57 @@ class TestLifts:
         assert spaces_alive("b_") == 2
         del base, cls
         assert spaces_alive("b_") == 0
+
+
+def forget(i, g):
+    """Empty the enumeration memo of (A, Y) and the filler memo of (X, Y)."""
+    _table(i.src, g.src, "enum").clear()
+    _table(i.dst, g.src, "first").clear()
+
+
+def oracle_walk(i, g):
+    """Oracle: the square walk ``lifts`` and ``lifts_bool`` made before the
+    fused one, ``_squares`` with one ``_fill_tuple`` per square, from empty
+    memos.  (fillers before the first unfillable square, its (phi, f) or None)"""
+    forget(i, g)
+    fib, fillers = _fibers(g), []
+    for phi, f in _squares(i, g):
+        h = _fill_tuple(i, g, f, [fib[b] for b in phi])
+        if h is None:
+            return fillers, (phi, f)
+        fillers.append(h)
+    return fillers, None
+
+
+def check_walk(i, g):
+    forget(i, g)  # the walk under test fills the memos itself
+    holds, cert = lifts_bool(i, g), lifts(i, g)
+    fillers, bad = oracle_walk(i, g)
+    assert holds == cert.holds == (bad is None)
+    assert cert.squares == len(fillers) + (bad is not None)
+    if bad is None:
+        assert [h.as_tuple() for h in cert.fillers] == fillers
+        assert cert.counterexample is None
+    else:
+        assert cert.fillers == ()
+        assert (cert.counterexample.phi.as_tuple(), cert.counterexample.f.as_tuple()) == bad
+    # and again from the memo entries the oracle left
+    assert lifts_bool(i, g) == holds
+    assert lifts(i, g) == cert
+
+
+class TestFusedWalk:
+    def test_every_pair_at_2_matches_the_square_by_square_walk(self):
+        maps = get_universe(2).maps
+        for i in maps:
+            for g in maps:
+                check_walk(i, g)
+
+    def test_sampled_pairs_at_3_match_the_square_by_square_walk(self):
+        maps = get_universe(3).maps
+        rng = random.Random(0)
+        for _ in range(2000):
+            check_walk(maps[rng.randrange(len(maps))], maps[rng.randrange(len(maps))])
 
 
 class TestRelativeOrthogonal:

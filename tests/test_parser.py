@@ -1,10 +1,12 @@
 """DSL grammar, error positions, and render round-trips."""
+import pickle
 import random
 import re
 from typing import Iterable
 
 import pytest
 
+from ftop import errors
 from ftop.errors import FtopError, MapError, ParseError
 from ftop.parser import _tokens, parse_map, parse_space, render
 from ftop.registry import INDISCRETE2, LAMBDA, M, SIERPINSKI, registry
@@ -398,6 +400,20 @@ class TestParseErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_space("{a}x")
+
+    @pytest.mark.parametrize("cls", [
+        c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)
+        and c.__module__ == errors.__name__])
+    def test_every_error_survives_a_pickle_round_trip(self, cls):
+        # a forked pmap worker hands its exception to the parent pickled
+        err = cls("bad token", 3) if cls is ParseError else cls("bad token")
+        err.worker = 2  # instance attributes travel too
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert (str(back), back.args, vars(back)) == (str(err), err.args, vars(err))
+        if cls is ParseError:
+            assert str(back) == "bad token (at position 3)"
+            assert (back.message, back.position) == ("bad token", 3)
 
 
 class TestParseMap:

@@ -78,26 +78,55 @@ def test_verify_steps_only_in_run_sweep():
     assert uses == ["_Run.sweep"]
 
 
+def test_lifts_share_one_square_walk():
+    # lifts and lifts_bool walk the squares in _walk, which reads the pair
+    # memos once per call; the per-square helpers serve fill, squares and
+    # is_retract_of only, and the least filler along a linear extension is
+    # searched only by the walk and by first_solution
+    calls, first = {}, []
+    for path in (SRC / "lifting.py", SRC / "_solve.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                calls.setdefault(fn.name, set()).add(ast.unparse(node.func))
+                if (ast.unparse(node.func) == "next" and isinstance(node.args[0], ast.Call)
+                        and ast.unparse(node.args[0].func) == "_search"
+                        and "linear_extension" in ast.unparse(node.args[0].args[3])):
+                    first.append(fn.name)
+    for name in ("lifts", "lifts_bool"):
+        assert "_walk" in calls[name]
+        assert not calls[name] & {"_squares", "_fill_tuple", "_search", "first_solution"}
+    assert sorted(first) == ["_walk", "first_solution"]
+
+
 # installs the benchmark's layer tracer, then counts a few small calls
 _TRACE = """
 import json
 from layers import Tracer
 tracer = Tracer()
 tracer.install()
-from ftop.lifting import lifts
-from ftop.registry import M_TO_LAMBDA, OPEN_POINT_INCL
+import ftop.lifting as lifting
+from ftop.registry import EMPTY_TO_POINT, M_TO_LAMBDA, OPEN_POINT_INCL
 from ftop.universe import get_universe
-cert = lifts(OPEN_POINT_INCL, M_TO_LAMBDA)
+cert = lifting.lifts(OPEN_POINT_INCL, M_TO_LAMBDA)
 cert.recheck()
 get_universe(2)
-from ftop.lifting import lifts_bool
-from ftop.registry import EMPTY_TO_POINT
-# one square each; the second call's filler comes from the memo
-before = tracer.metrics()
+sq, = lifting.squares(EMPTY_TO_POINT, EMPTY_TO_POINT)
+point = EMPTY_TO_POINT.dst
+snaps = [tracer.metrics()]
+# one square each, walked without the traced per-square names
 for _ in range(2):
-    lifts_bool(EMPTY_TO_POINT, EMPTY_TO_POINT)
-print(json.dumps(before))
-print(json.dumps(tracer.metrics()))
+    lifting.lifts_bool(EMPTY_TO_POINT, EMPTY_TO_POINT)
+snaps.append(tracer.metrics())
+# one direct call each; fill's filler search goes through first_solution
+lifting.first_solution(point, point, [1])
+list(lifting.enum_hom(point, point))
+lifting.fill(sq)
+snaps.append(tracer.metrics())
+print(json.dumps(snaps))
 """
 
 
@@ -109,16 +138,22 @@ def test_benchmark_tracer_binds_to_the_package(tmp_path):
     out = subprocess.run([sys.executable, "-c", _TRACE], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    before, metrics = (json.loads(line) for line in out.stdout.splitlines()[-2:])
-    # the filler memo sits inside the traced name: a search it answers counts
-    name = "solve.first_solution.calls"
-    assert metrics[name] - before[name] == 2
-    # so does the enumeration memo: a stored enumeration counts as a call
-    name = "solve.enum_hom.calls"
-    assert metrics[name] - before[name] == 2
+    before, swept, metrics = json.loads(out.stdout.splitlines()[-1])
+
+    def delta(name, start, end):
+        return end[name] - start[name]
+
+    # a lifts_bool sweep fills its squares inside the walk: the traced
+    # filler search, enumeration and square names see none of them
+    assert delta("lifting.lifts_bool.calls", before, swept) == 2
+    for name in ("solve.first_solution.calls", "solve.enum_hom.calls", "lifting.squares"):
+        assert delta(name, before, swept) == 0, name
+    # the direct calls: first_solution once, and once more under fill
+    assert delta("solve.first_solution.calls", swept, metrics) == 2
+    assert delta("solve.enum_hom.calls", swept, metrics) == 1
+    assert delta("lifting.squares", swept, metrics) == 1
     assert metrics["lifting.lifts.calls"] == 1
     assert metrics["lifting.recheck.calls"] == 1
-    assert metrics["lifting.squares"] > 0
     assert metrics["universe.cache_save.calls"] > 0
     assert metrics["universe.cache_bytes_written"] > 0
 
