@@ -6,7 +6,10 @@ monotone diagonal h: X -> Y with h∘i = f and g∘h = phi.  Squares are
 enumerated in a fixed canonical order (phi lexicographic, then f), so failing
 certificates always report the least counterexample.  ``lifts`` and
 ``lifts_bool`` share one square walk, ``_walk``, which looks up the pair
-memos of the solver once per call, not once per square.
+memos of the solver once per call, not once per square.  The left rows of a
+sweep decide i ⧄ g without filling squares, by ``_lifts_left``: against a
+member g prepared once per ``_step``, i lifts iff the restrictions along i of
+the lifts of each phi through g cover every f of the squares over phi.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from ._solve import _recorded, _search, _table, enum_hom, first_solution, hom
@@ -140,6 +144,50 @@ def _walk(i: CMap, g: CMap, fillers: Optional[list]) -> Optional[tuple]:
 def lifts_bool(i: CMap, g: CMap) -> bool:
     """Decide i ⧄ g, short-circuiting on the first unfillable square."""
     return _walk(i, g, None) is None
+
+
+_PREPARED: dict = {}  # the members prepared by _keep's left rows; _step empties it
+
+
+def _lifts_left(i: CMap, g: CMap, prepared: dict) -> bool:
+    """Decide i ⧄ g as ``lifts_bool`` does, without filling squares.
+
+    A square (phi, f) has a filler iff f = h∘i for some h in H(phi), the
+    maps h: X -> Y with g∘h = phi, and every h∘i is one of the f over phi∘i.
+    So i ⧄ g iff, for every phi, the restrictions {h∘i} are as many as the f.
+    ``prepared`` keeps, per (g, X) by identity, each phi's fibers and, once
+    first needed, H(phi).  The f are counted from the enumeration memo of
+    (A, Y) when it holds them; otherwise they are streamed up to the first
+    one that is no restriction, and an abandoned stream keeps nothing, as
+    in ``_walk``."""
+    A, X, Y = i.src, i.dst, g.src
+    got = prepared.get((id(g), id(X)))
+    if got is None:
+        fib = _fibers(g)
+        rows = [[tuple([fib[b] for b in phi]), None] for phi in hom(X, g.dst)]
+        got = prepared[id(g), id(X)] = (g, X, rows)  # g and X kept, so the ids stay theirs
+    it = i.as_tuple()
+    # h∘i, and phi∘i's fibers; itemgetter needs two indices to return a tuple
+    restrict = itemgetter(*it) if len(it) > 1 else lambda t: tuple([t[x] for x in it])
+    enum = _table(A, Y, "enum")
+    for row in got[2]:
+        over, hs = row
+        cand = restrict(over)
+        if 0 in cand:
+            continue  # no f: A -> Y over phi∘i, so no square
+        if hs is None:
+            hs = row[1] = () if 0 in over else tuple(_search(X, Y, over, tuple(range(len(over)))))
+        fs = enum.get(cand)
+        if fs is None:
+            restricted = set(map(restrict, hs))
+            for f in _recorded(A, Y, cand, enum):
+                if f not in restricted:
+                    return False
+        elif len(fs) > len(hs):
+            return False
+        elif len(fs) > 1 and len(fs) != len(set(map(restrict, hs))):  # one f: any h gives it
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -297,7 +345,9 @@ def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> lis
     Isomorphisms lift both ways against every map, so they are skipped as
     members and kept as candidates without a search.  A candidate's test
     stops at the first refuting member, and each row tries first the member
-    that last refuted a candidate."""
+    that last refuted a candidate.  A left row decides by ``_lifts_left``,
+    against its members as prepared in ``_PREPARED`` by this process in the
+    current ``_step``; a right row calls ``lifts_bool``."""
     orders = [[c for c in row[0] if not is_isomorphism(c)] for row in rows]
     masks = [0] * len(rows)
     for p, k in enumerate(ks):
@@ -306,7 +356,7 @@ def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> lis
         for r, (order, (_, letter, *pred)) in enumerate(zip(orders, rows)):
             lifted = True
             for pos, c in enumerate(() if iso else order):
-                if not (lifts_bool(m, c) if letter == "l" else lifts_bool(c, m)):
+                if not (_lifts_left(m, c, _PREPARED) if letter == "l" else lifts_bool(c, m)):
                     order.insert(0, order.pop(pos))
                     lifted = False
                     break
@@ -319,13 +369,19 @@ def _step(maps: Sequence[CMap], rows: Sequence[tuple], jobs: int,
           ks: Optional[Sequence[int]] = None) -> list[int]:
     """``_keep`` over ``ks`` (default: every map), in fixed blocks of
     ``STEP_BLOCK`` positions, one pool for all rows.  The orders of the
-    members restart in each block, so verdicts and ``lifts_bool`` calls are
-    the same for every ``jobs``.  This is the only caller of ``pmap``."""
+    members restart in each block, so verdicts and the lifting decisions
+    made are the same for every ``jobs``.  The members of left rows are
+    prepared by the process that sweeps them, a worker or, inline, this one,
+    and are dropped when the step ends.  This is the only caller of
+    ``pmap``."""
     from ._parallel import pmap
 
     ks = range(len(maps)) if ks is None else ks
     starts = range(0, len(ks), STEP_BLOCK)
-    blocks = pmap(partial(_keep, maps, rows), [ks[s:s + STEP_BLOCK] for s in starts], jobs)
+    try:
+        blocks = pmap(partial(_keep, maps, rows), [ks[s:s + STEP_BLOCK] for s in starts], jobs)
+    finally:
+        _PREPARED.clear()  # filled only when the blocks ran in this process
     return [sum(b[r] << s for s, b in zip(starts, blocks)) for r in range(len(rows))]
 
 

@@ -16,6 +16,7 @@ from ftop.lifting import (
     LiftCertificate,
     Square,
     _fill_tuple,
+    _lifts_left,
     _squares,
     _step,
     bounded_factor,
@@ -573,15 +574,15 @@ class TestRelativeOrthogonal:
 
         calls = []
 
-        def counting(i, g):
+        def counting(i, g, prepared):  # a left row's decisions
             calls.append((i, g))
-            return lifts_bool(i, g)
+            return _lifts_left(i, g, prepared)
 
         def bases():  # maps over fresh spaces, so no class is cached for them
             point, sierpinski = Space(["o"], []), Space(["o", "c"], [("o", "c")])
             return CMap(Space.empty(), point, {}), CMap(point, sierpinski, {"o": "o"})
 
-        monkeypatch.setattr(lifting, "lifts_bool", counting)
+        monkeypatch.setattr(lifting, "_lifts_left", counting)
         singles = [set(relative_orthogonal([b], "l", 3).indices) for b in bases()]
         apart = len(calls)
         calls.clear()
@@ -667,6 +668,76 @@ class TestStep:
         ks = tuple(range(1, len(u), 3))
         for full, part in zip(together, _step(u.maps, rows, jobs, ks=ks)):
             assert part == sum(((full >> k) & 1) << p for p, k in enumerate(ks))
+
+
+def check_left(i, g, prepared):
+    """The left-row kernel against ``lifts_bool``: once streaming the
+    enumerations of f, once reading the memo entries a complete stream left."""
+    _table(i.src, g.src, "enum").clear()
+    holds = lifts_bool(i, g)
+    _table(i.src, g.src, "enum").clear()
+    assert _lifts_left(i, g, prepared) == holds, (i, g)
+    assert _lifts_left(i, g, prepared) == holds, (i, g)
+
+
+class TestLeftRows:
+    def test_every_pair_at_2_matches_lifts_bool(self):
+        maps, prepared = get_universe(2).maps, {}
+        for i in maps:
+            for g in maps:
+                check_left(i, g, prepared)
+
+    def test_sampled_pairs_at_3_match_lifts_bool(self):
+        maps, prepared = get_universe(3).maps, {}
+        rng = random.Random(0)
+        for _ in range(2000):
+            check_left(maps[rng.randrange(len(maps))], maps[rng.randrange(len(maps))], prepared)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
+        u = get_universe(3)
+        members = [u.map_at(k) for k in range(3, len(u), 41)]
+        mask, = _step(u.maps, [(members, "l")], jobs)
+        expect = sum(1 << k for k, m in enumerate(u.maps)
+                     if all(lifts_bool(m, c) for c in members))
+        assert mask == expect
+        assert 0 < mask < (1 << len(u)) - 1
+
+    def test_refuted_decision_stays_small(self):
+        # as test_refuted_sweep_keeps_no_enumeration, through the kernel: the
+        # abandoned enumerations keep nothing, and H is 4**3 maps
+        f = sub(2)
+        g = parse_map("{a<->b<->c<->d}-->{a=b=c=d}")
+        tracemalloc.start()
+        try:
+            holds = _lifts_left(f, g, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds is False
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_prepared_members_die_with_the_step(self, jobs, monkeypatch):
+        # the workers prepare the members of a forked step, so the parent's
+        # state stays empty; an inline step empties it when it ends
+        import ftop._parallel as parallel
+        import ftop.lifting as lifting
+
+        real, seen = parallel.pmap, []
+
+        def probe(fn, items, jobs):
+            out = real(fn, items, jobs)
+            seen.append(len(lifting._PREPARED))
+            return out
+
+        monkeypatch.setattr(parallel, "pmap", probe)
+        member = parse_map("{left_a<-left_u->left_b}-->{left_a=left_u->left_b}")
+        _step(get_universe(3).maps, [([member], "l")], jobs)
+        assert (seen[0] == 0) == (jobs == 2)
+        assert lifting._PREPARED == {}
+        del member
+        assert spaces_alive("left_") == 0
 
 
 class TestRetract:

@@ -102,6 +102,20 @@ def test_lifts_share_one_square_walk():
     assert sorted(first) == ["_walk", "first_solution"]
 
 
+def test_only_keep_decides_left_rows():
+    # the left-row kernel reads members prepared for one _step, so it has
+    # one caller, the sweep itself
+    calls = [
+        (path.name, getattr(top, "name", None))
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_lifts_left"
+    ]
+    assert calls == [("lifting.py", "_keep")]
+
+
 # installs the benchmark's layer tracer, then counts a few small calls
 _TRACE = """
 import json
