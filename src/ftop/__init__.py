@@ -48,54 +48,7 @@ from .verify import SuiteReport, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundedClass",
-    "CMap",
-    "CapacityError",
-    "FtopError",
-    "LiftCertificate",
-    "MapError",
-    "ParseError",
-    "PropertyRecord",
-    "Space",
-    "SpaceError",
-    "Square",
-    "SuiteReport",
-    "Universe",
-    "classify",
-    "closure",
-    "compose",
-    "coproduct",
-    "cylinder",
-    "enumerate_maps",
-    "enumerate_spaces",
-    "factor_search",
-    "fill",
-    "get_universe",
-    "identity",
-    "is_closed",
-    "is_isomorphism",
-    "is_open",
-    "is_retract_of",
-    "lam",
-    "lifts",
-    "lifts_bool",
-    "map_from_json",
-    "map_to_json",
-    "min_nbhd",
-    "monotone_maps",
-    "parse_map",
-    "parse_space",
-    "product",
-    "product_map",
-    "quotient",
-    "registry",
-    "relative_orthogonal",
-    "render",
-    "run_suite",
-    "space_from_json",
-    "space_to_json",
-    "squares",
-    "sub",
-    "__version__",
-]
+# every imported name that is not a module (such as ``errors``), and the version
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and type(value) is not type(errors))
+__all__.append("__version__")

@@ -186,8 +186,8 @@ def _cmd_factor(args) -> int:
         print("no bounded factorization found")
         return 1
     print(f"# i in class {got.left_class.word!r}, p in class {got.right_class.word!r} (n={args.n})")
-    if got.left_class.caveat:
-        print(f"# caveat: {got.left_class.caveat}")
+    for caveat in dict.fromkeys(c.caveat for c in (got.left_class, got.right_class) if c.caveat):
+        print(f"# caveat: {caveat}")
     print(f"i: {render(got.i)}")
     print(f"p: {render(got.p)}")
     return 0

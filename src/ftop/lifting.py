@@ -27,7 +27,7 @@ from .errors import CapacityError, MapError
 from .space import (
     CMap, Space, _fibers, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
 )
-from .universe import _artifact, automorphisms, get_universe
+from .universe import _artifact, _canon, _inverse, automorphisms, get_universe
 
 MATRIX_MAX_N = 3  # largest bound for multi-letter words and the pairwise lifting matrix
 STEP_BLOCK = 64  # positions per work item of a _step
@@ -86,18 +86,18 @@ def _square(i: CMap, g: CMap, phi_t, f_t) -> Square:
     )
 
 
-def _pins(i: CMap, f_t, over: Sequence[int]) -> list[int]:
-    """Candidate masks of a filler of the square (phi, f): f pinned onto
-    phi's fibers ``over``."""
-    cand = list(over)
-    for xa, fa in zip(i.as_tuple(), f_t):
-        cand[xa] &= 1 << fa
+def _pinned(cand: list[int], pins) -> list[int]:
+    """The candidate masks ``cand``, point x pinned to value v for each
+    (x, v) in ``pins``; a mask left 0 marks a clash."""
+    for x, v in pins:
+        cand[x] &= 1 << v
     return cand
 
 
 def _fill_tuple(i: CMap, g: CMap, f_t, over: Sequence[int]) -> tuple[int, ...] | None:
-    """The least filler of the square (phi, f)."""
-    return first_solution(i.dst, g.src, _pins(i, f_t, over))
+    """The least filler of the square (phi, f): f pinned onto phi's fibers
+    ``over``."""
+    return first_solution(i.dst, g.src, _pinned(list(over), zip(i.as_tuple(), f_t)))
 
 
 def fill(sq: Square) -> Optional[CMap]:
@@ -223,7 +223,7 @@ class LiftCertificate:
         # a fresh search in point order: neither the memo entry that ``lifts``
         # left for this square nor the linear-extension search that made it
         fib, X = _fibers(sq.g), sq.i.dst
-        cand = _pins(sq.i, sq.f.as_tuple(), [fib[b] for b in sq.phi.as_tuple()])
+        cand = _pinned([fib[b] for b in sq.phi.as_tuple()], zip(sq.i.as_tuple(), sq.f.as_tuple()))
         return next(_search(X, sq.g.src, cand, tuple(range(len(X.points)))), None) is None
 
     def to_json(self) -> dict:
@@ -453,17 +453,6 @@ class RetractWitness:
         )
 
 
-def _pinned(size: int, values: int, pins) -> list[int] | None:
-    """Candidate masks for ``size`` points over ``values`` codomain points,
-    with point x pinned to v for each (x, v) in ``pins``; None on a clash."""
-    cand = [(1 << values) - 1] * size
-    for x, v in pins:
-        cand[x] &= 1 << v
-        if not cand[x]:
-            return None
-    return cand
-
-
 def is_retract_of(f: CMap, g: CMap) -> Optional[RetractWitness]:
     """Search for section/retraction pairs exhibiting f as a retract of g."""
     A, B = f.src, f.dst
@@ -472,16 +461,16 @@ def is_retract_of(f: CMap, g: CMap) -> Optional[RetractWitness]:
     # a section (s_dom, s_cod) is a commutative square from f to g
     for s_cod, s_dom in _squares(f, g):
         # retraction on domains: pinned by r∘s = id
-        pins = [(c, a) for a, c in enumerate(s_dom)]
-        cand_r = _pinned(len(C.points), len(A.points), pins)
-        if cand_r is None:
+        cand_r = _pinned([(1 << len(A.points)) - 1] * len(C.points),
+                         [(c, a) for a, c in enumerate(s_dom)])
+        if 0 in cand_r:
             continue
         for r_dom in _search(C, A, cand_r, C.linear_extension()):
             # retraction on codomains: pinned by r'∘s' = id and f∘r = r'∘g
             pins = [(d, b) for b, d in enumerate(s_cod)]
             pins += [(d, ft[r_dom[c]]) for c, d in enumerate(gt)]
-            cand_r2 = _pinned(len(D.points), len(B.points), pins)
-            if cand_r2 is None:
+            cand_r2 = _pinned([(1 << len(B.points)) - 1] * len(D.points), pins)
+            if 0 in cand_r2:
                 continue
             r_cod = first_solution(D, B, cand_r2)
             if r_cod is None:
@@ -511,69 +500,56 @@ class Factorization:
 def factor_search(
     f: CMap, base: Sequence[CMap], word: str, n: int, jobs: int = 1
 ) -> Optional[Factorization]:
-    """Best-effort search for f = p∘i with i in base^(word+l), p in base^(word+lr).
+    """f = p∘i with i in base^(word+l) and p in base^(word+lr) through a
+    catalog space of the n-point universe, or None if there is none there.
 
-    An exploration tool over middle objects of the bounded universe: a None
-    answer only means no factorization exists within the bound.
+    An exploration tool: the classes are bounded.  The pair is the first
+    composite p∘α∘i that ``factoring_maps`` builds for f's index, carried
+    onto f's own endpoints: with f = pb∘(p∘α∘i)∘pa⁻¹ for relabelings pa, pb
+    of f's source and target that canonicalization finds, the legs are
+    α∘i∘pa⁻¹ and pb∘p.
     """
     if set(word) - {"l", "r"}:
         raise ValueError("word must be a string over {l, r}")
-    left = relative_orthogonal(base, word + "l", n, jobs=jobs)
-    right = relative_orthogonal(base, word + "lr", n, jobs=jobs)
-    pair = bounded_factor(f, left, right)
-    if pair is None:
-        return None
-    return Factorization(pair[0], pair[1], left, right)
-
-
-def bounded_factor(
-    f: CMap, left: BoundedClass, right: BoundedClass
-) -> Optional[tuple[CMap, CMap]]:
-    """Search middles of the bounded universe for f = p∘i with i/p in the
-    given classes; classes are computed once by the caller."""
-    n = left.n
-    u = get_universe(n)
     if len(f.src.points) > n or len(f.dst.points) > n:
         raise CapacityError(f"factor search: map endpoints exceed n={n}")
-    left_set = set(left.indices)
-    right_set = set(right.indices)
-    A, B = f.src, f.dst
-    ft = f.as_tuple()
-    for z in u.spaces:
-        for i_t in hom(A, z):
-            # p is pinned on the image of i by p∘i = f
-            cand = _pinned(len(z.points), len(B.points), zip(i_t, ft))
-            if cand is None:
-                continue
-            i_map = None
-            for p_t in enum_hom(z, B, cand):
-                if i_map is None:
-                    i_map = map_from_tuple(A, z, i_t)
-                    ik = u.index_of_map(i_map)
-                    if ik is None or ik not in left_set:
-                        break
-                p_map = map_from_tuple(z, B, p_t)
-                pk = u.index_of_map(p_map)
-                if pk is None or pk not in right_set:
-                    continue
-                return i_map, p_map
-    return None
+    left = relative_orthogonal(base, word + "l", n, jobs=jobs)
+    right = relative_orthogonal(base, word + "lr", n, jobs=jobs)
+    u = get_universe(n)
+    got = factoring_maps(left, right).get(u.index_of_map(f))
+    if got is None:
+        return None
+    z, ai, p = got
+    t = f.as_tuple()
+    # the composite is in the orbit of f's canonical form, so some pair of
+    # minimising relabelings carries it onto f: f∘pa = pb∘(p∘α∘i)
+    pa, pb = next((pa, pb) for pb in _canon(f.dst)[1] for pa in _canon(f.src)[1]
+                  if all(t[pa[k]] == pb[p[y]] for k, y in enumerate(ai)))
+    inv_a, Z = _inverse(pa), u.spaces[z]
+    return Factorization(map_from_tuple(f.src, Z, tuple([ai[k] for k in inv_a])),
+                         map_from_tuple(Z, f.dst, tuple([pb[y] for y in p])), left, right)
 
 
-def factoring_maps(left: BoundedClass, right: BoundedClass) -> set[int]:
+def factoring_maps(left: BoundedClass, right: BoundedClass) -> dict[int, tuple]:
     """Universe indices of the maps p∘α∘i with i in ``left`` into a catalog
-    space z, α an automorphism of z and p in ``right`` out of z.  Up to
-    isomorphism these are exactly the maps for which ``bounded_factor``
-    finds a pair, without a search per map."""
+    space z, α an automorphism of z and p in ``right`` out of z.  Each maps
+    to the first composite built for it, as (z, α∘i, p) with index tuples
+    on catalog spaces; right members are taken in increasing order, then
+    the automorphisms of z, then the left members.  Up to isomorphism these
+    are exactly the maps that factor as a left member, then a right one."""
     u = get_universe(left.n)
     into: dict[int, list] = {}
     for k in left.indices:
         si, z, t = u.triple(k)
         into.setdefault(z, []).append((si, t))
-    composites = set()
+    first: dict[tuple, tuple] = {}  # (si, di, composite) -> its first (z, α∘i, p)
     for k in right.indices:
         z, di, p = u.triple(k)
-        for q in {tuple(p[y] for y in a) for a in automorphisms(u.spaces[z])}:  # each p∘α
-            composites.update((si, di, tuple(q[y] for y in t)) for si, t in into.get(z, ()))
-    return {u.index_of_map(map_from_tuple(u.spaces[si], u.spaces[di], t))
-            for si, di, t in composites}
+        for a in automorphisms(u.spaces[z]):
+            for si, t in into.get(z, ()):
+                ai = tuple([a[y] for y in t])
+                first.setdefault((si, di, tuple([p[y] for y in ai])), (z, ai, p))
+    found: dict[int, tuple] = {}
+    for (si, di, c), witness in first.items():
+        found.setdefault(u.index_of_map(map_from_tuple(u.spaces[si], u.spaces[di], c)), witness)
+    return found

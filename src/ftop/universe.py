@@ -67,42 +67,53 @@ def _cache_file(stem: str) -> Path:
 
 
 def _load_cache(stem: str) -> Optional[dict]:
-    path = _cache_file(stem)
+    """The payload of a cache file, or None if it is missing, unreadable or
+    its body does not match the sha256 on its first line."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        digest, _, body = _cache_file(stem).read_bytes().partition(b"\n")
+        if digest.strip() == hashlib.sha256(body).hexdigest().encode():
+            return json.loads(body)
     except (OSError, ValueError):
-        return None
+        pass
+    return None
 
 
-def _write_json(fh, payload: dict) -> None:
-    """Write exactly ``json.dumps(payload)`` (str keys), one block of list
-    items per ``dumps`` call.  ``json.dump`` would take the pure-Python
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """Exactly ``json.dumps(payload)`` (str keys), in chunks of one block of
+    list items per ``dumps`` call.  ``json.dump`` would take the pure-Python
     encoder; one string of the whole payload would add megabytes to the
     peak RSS."""
-    fh.write("{")
+    yield "{"
     for k, (key, value) in enumerate(payload.items()):
-        fh.write(f"{', ' if k else ''}{json.dumps(key)}: ")
+        yield f"{', ' if k else ''}{json.dumps(key)}: "
         if isinstance(value, list) and value:
             for start in range(0, len(value), _JSON_BLOCK):
                 block = json.dumps(value[start:start + _JSON_BLOCK])[1:-1]
-                fh.write(f"{', ' if start else '['}{block}")
-            fh.write("]")
+                yield f"{', ' if start else '['}{block}"
+            yield "]"
         else:
-            fh.write(json.dumps(value))
-    fh.write("}")
+            yield json.dumps(value)
+    yield "}"
 
 
 def _save_cache(stem: str, payload: dict) -> None:
-    """Write through a temp file of this process's own, so concurrent writers
-    never share one."""
+    """Write the sha256 of the JSON body on the first line, then the body,
+    through a temp file of this process's own, so concurrent writers never
+    share one.  The body is ASCII (``json.dumps`` escapes the rest), so its
+    text is its bytes."""
     path = _cache_file(stem)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with contextlib.suppress(OSError):  # caching is best-effort
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
+            h = hashlib.sha256()
             with open(tmp, "w") as fh:
-                _write_json(fh, payload)
+                fh.write("0" * 64 + "\n")  # room for the hex digest, written last
+                for chunk in _json_chunks(payload):
+                    h.update(chunk.encode())
+                    fh.write(chunk)
+                fh.seek(0)
+                fh.write(h.hexdigest())
             tmp.replace(path)
         finally:
             tmp.unlink(missing_ok=True)

@@ -148,6 +148,20 @@ class TestFactorCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "i: " in out and "p: " in out
+        # p comes from the "lr" class, which over-approximates; "l" is exact
+        assert out.splitlines()[1] == (
+            "# caveat: bounded universe (n=2): each step after the first "
+            "over-approximates the true orthogonal within the universe")
+
+    def test_one_caveat_line_when_both_classes_are_bounded(self, capsys):
+        rc = main(
+            ["factor", "-f", "{o->c}-->{o->c}", "-P", M_TO_LAMBDA_DSL,
+             "-w", "r", "-n", "2", "--jobs", "1"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        # the two caveats read the same, so the line is printed once
+        assert [line[:9] for line in out.splitlines()].count("# caveat:") == 1
 
 
 class TestVerifyCommand:

@@ -9,7 +9,7 @@ from operator import and_
 
 import pytest
 
-from ftop._solve import _table, first_solution
+from ftop._solve import _table, enum_hom, first_solution, hom
 from ftop.errors import CapacityError, MapError
 from ftop.lifting import (
     BoundedClass,
@@ -19,7 +19,6 @@ from ftop.lifting import (
     _lifts_left,
     _squares,
     _step,
-    bounded_factor,
     factor_search,
     factoring_maps,
     fill,
@@ -43,7 +42,9 @@ from ftop.registry import (
     POINT,
     SIERPINSKI,
 )
-from ftop.space import CMap, Space, _fibers, compose, identity, is_isomorphism, sub
+from ftop.space import (
+    CMap, Space, _fibers, compose, identity, is_isomorphism, map_from_tuple, sub,
+)
 from ftop.universe import get_universe
 
 
@@ -758,6 +759,53 @@ class TestRetract:
         assert w.check(LAMBDA_TO_POINT, g)
 
 
+def bounded_factor(f, left, right):
+    """Oracle: search middles of the bounded universe for f = p∘i with i/p
+    in the given classes."""
+    n = left.n
+    u = get_universe(n)
+    if len(f.src.points) > n or len(f.dst.points) > n:
+        raise CapacityError(f"factor search: map endpoints exceed n={n}")
+    left_set = set(left.indices)
+    right_set = set(right.indices)
+    A, B = f.src, f.dst
+    ft = f.as_tuple()
+    for z in u.spaces:
+        for i_t in hom(A, z):
+            # p is pinned on the image of i by p∘i = f
+            cand = [(1 << len(B.points)) - 1] * len(z.points)
+            for x, v in zip(i_t, ft):
+                cand[x] &= 1 << v
+            if 0 in cand:
+                continue
+            i_map = None
+            for p_t in enum_hom(z, B, cand):
+                if i_map is None:
+                    i_map = map_from_tuple(A, z, i_t)
+                    ik = u.index_of_map(i_map)
+                    if ik is None or ik not in left_set:
+                        break
+                p_map = map_from_tuple(z, B, p_t)
+                pk = u.index_of_map(p_map)
+                if pk is None or pk not in right_set:
+                    continue
+                return i_map, p_map
+    return None
+
+
+def relabeled(f, rng):
+    """f on fresh point names, each endpoint's points listed in shuffled order."""
+    def fresh(x, tag):
+        order = list(x.points)
+        rng.shuffle(order)
+        names = {p: f"{tag}{k}" for k, p in enumerate(order)}
+        return Space([names[p] for p in order], [(names[a], names[b]) for a, b in x.rel]), names
+
+    src, a = fresh(f.src, "s")
+    dst, b = fresh(f.dst, "t")
+    return CMap(src, dst, {a[p]: b[q] for p, q in f.assign.items()})
+
+
 class TestFactorSearch:
     def test_identity_factors_trivially(self):
         got = factor_search(identity(SIERPINSKI), [M_TO_LAMBDA], "", 3, jobs=2)
@@ -775,9 +823,41 @@ class TestFactorSearch:
     def test_base_map_is_not_in_its_own_left_class(self):
         assert not lifts_bool(EMPTY_TO_POINT, EMPTY_TO_POINT)
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
+        import ftop.lifting as lifting
+
+        def no_class(*args, **kwargs):
+            raise AssertionError("a class was computed")
+
+        monkeypatch.setattr(lifting, "relative_orthogonal", no_class)
         with pytest.raises(CapacityError):
             factor_search(M_TO_LAMBDA, [M_TO_LAMBDA], "", 3)
+
+    @pytest.mark.parametrize("base", [M_TO_LAMBDA, EMPTY_TO_POINT],
+                             ids=["m_to_lambda", "empty_to_point"])
+    def test_witness_exactly_when_the_oracle_finds_one(self, base):
+        # every map of universe(2) and a relabeled copy of each
+        u, rng = get_universe(2), random.Random(5)
+        left = relative_orthogonal([base], "l", 2)
+        right = relative_orthogonal([base], "lr", 2)
+        found = factoring_maps(left, right)
+        for f in [g for m in u.maps for g in (m, relabeled(m, rng))]:
+            got = factor_search(f, [base], "", 2)
+            assert (got is None) == (bounded_factor(f, left, right) is None)
+            assert (got is None) == (u.index_of_map(f) not in found)
+            if got is not None:
+                assert compose(got.i, got.p) == f
+                assert got.i in left and got.p in right
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_witness_is_the_oracles_on_catalog_maps(self, n):
+        # the first composite is the pair the middle-by-middle search finds
+        u = get_universe(n)
+        left = relative_orthogonal([M_TO_LAMBDA], "l", n)
+        right = relative_orthogonal([M_TO_LAMBDA], "lr", n)
+        for k in sorted(factoring_maps(left, right))[::7]:
+            got = factor_search(u.map_at(k), [M_TO_LAMBDA], "", n)
+            assert (got.i, got.p) == bounded_factor(u.map_at(k), left, right)
 
 
 class TestFactoringMaps:
@@ -790,8 +870,8 @@ class TestFactoringMaps:
         left = relative_orthogonal([base], "l", n)
         right = relative_orthogonal([base], "lr", n)
         found = factoring_maps(left, right)
-        assert found == {k for k in range(len(u))
-                         if bounded_factor(u.map_at(k), left, right) is not None}
+        assert set(found) == {k for k in range(len(u))
+                              if bounded_factor(u.map_at(k), left, right) is not None}
         if base is M_TO_LAMBDA and n == 3:
             assert len(found) == 135
 
@@ -805,8 +885,19 @@ class TestFactoringMaps:
         )
         found = factoring_maps(left, right)
         assert len(found) == 417
-        assert found == {k for k in range(len(u))
-                         if bounded_factor(u.map_at(k), left, right) is not None}
+        assert set(found) == {k for k in range(len(u))
+                              if bounded_factor(u.map_at(k), left, right) is not None}
+
+    def test_each_witness_composes_to_its_map(self):
+        u = get_universe(3)
+        left = relative_orthogonal([M_TO_LAMBDA], "l", 3)
+        right = relative_orthogonal([M_TO_LAMBDA], "lr", 3)
+        for k, (z, ai, p) in factoring_maps(left, right).items():
+            si, di, _ = u.triple(k)
+            i = map_from_tuple(u.spaces[si], u.spaces[z], ai)
+            q = map_from_tuple(u.spaces[z], u.spaces[di], p)
+            assert u.index_of_map(compose(i, q)) == k
+            assert i in left and q in right
 
 
 class TestClosureLaws:

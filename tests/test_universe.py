@@ -1,4 +1,5 @@
 """Universe enumeration against an independent labeled-count oracle."""
+import hashlib
 import itertools
 import json
 import os
@@ -451,7 +452,27 @@ class TestDiskCache:
         for size in (1, block - 1, block, block + 1, 2 * block, 2 * block + 3):
             payload[f"maps{size}"] = [[k % 7, k % 5, [k % 3, 0]] for k in range(size)]
         uni._save_cache("probe", payload)
-        assert uni._cache_file("probe").read_bytes() == json.dumps(payload).encode()
+        digest, _, body = uni._cache_file("probe").read_bytes().partition(b"\n")
+        assert body == json.dumps(payload).encode()
+        assert digest == hashlib.sha256(body).hexdigest().encode()
+
+    def test_hand_edited_file_is_rebuilt(self, tmp_path, monkeypatch):
+        # block (1, 2), the one map from the point into the first two-point
+        # space, re-coded [1] for [0]: every decode check passes, and
+        # without the checksum a 31-map universe with other blocks loads
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        monkeypatch.setattr(uni, "_MEMO", {})
+        built = uni.get_universe(2).blocks
+        path = uni._cache_file("maps_n2")
+        raw = path.read_bytes()
+        assert raw.count(b"[1, 2, 1, \"0000\"]") == 1
+        path.write_bytes(raw.replace(b"[1, 2, 1, \"0000\"]", b"[1, 2, 1, \"0001\"]"))
+        assert uni._load_cache("maps_n2") is None
+        monkeypatch.setattr(uni, "_MEMO", {})
+        assert uni.get_universe(2).blocks == built
+        assert path.read_bytes() == raw
 
     def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
