@@ -6,10 +6,10 @@ monotone diagonal h: X -> Y with h∘i = f and g∘h = phi.  Squares are
 enumerated in a fixed canonical order (phi lexicographic, then f), so failing
 certificates always report the least counterexample.  ``lifts`` and
 ``lifts_bool`` share one square walk, ``_walk``, which looks up the pair
-memos of the solver once per call, not once per square.  The left rows of a
-sweep decide i ⧄ g without filling squares, by ``_lifts_left``: against a
-member g prepared once per ``_step``, i lifts iff the restrictions along i of
-the lifts of each phi through g cover every f of the squares over phi.
+memos of the solver once per call, not once per square.  A sweep's rows
+count squares instead: the fillable ones are the distinct (h∘i, g∘h) over
+h: X -> Y, and i lifts iff no group of squares, by phi in ``_lifts_left`` or
+by f in ``_lifts_right``, outnumbers its fillable ones.
 """
 from __future__ import annotations
 
@@ -17,8 +17,10 @@ import hashlib
 import json
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -81,9 +83,7 @@ def squares(i: CMap, g: CMap) -> list[Square]:
 
 
 def _square(i: CMap, g: CMap, phi_t, f_t) -> Square:
-    return Square(
-        i, g, map_from_tuple(i.src, g.src, f_t), map_from_tuple(i.dst, g.dst, phi_t)
-    )
+    return Square(i, g, map_from_tuple(i.src, g.src, f_t), map_from_tuple(i.dst, g.dst, phi_t))
 
 
 def _pinned(cand: list[int], pins) -> list[int]:
@@ -146,47 +146,78 @@ def lifts_bool(i: CMap, g: CMap) -> bool:
     return _walk(i, g, None) is None
 
 
-_PREPARED: dict = {}  # the members prepared by _keep's left rows; _step empties it
+_PREPARED: dict = {}  # the tables of _keep's rows, per member; _step empties it
+DECISIONS: Counter = Counter()  # lifting decisions made by _step's rows, per letter
+
+
+def _restrictor(pts: Sequence[int]):
+    """t -> (t[p] for p in pts), a tuple (itemgetter makes one from two indices on)."""
+    return itemgetter(*pts) if len(pts) > 1 else lambda t: tuple([t[p] for p in pts])
 
 
 def _lifts_left(i: CMap, g: CMap, prepared: dict) -> bool:
-    """Decide i ⧄ g as ``lifts_bool`` does, without filling squares.
+    """Decide i ⧄ g by counting squares, for a member g prepared per ``_step``.
+    The squares over phi: X -> B are the f: A -> Y over phi∘i, the fillable
+    ones the distinct h∘i over the lifts h of phi.  That number depends on
+    i only through its image S; ``prepared`` keeps its least value per
+    (g, X, S) and restriction of phi's fibers to S, unless those are points
+    and phi lifts: then at most one f, and a lift, lie over phi∘i.
+    The f are counted by a search that stops one past it; per (A, Y) only
+    integers are kept: a count, or minus a lower bound."""
+    A, X, Y, it = i.src, i.dst, g.src, i.as_tuple()
+    got = prepared.get(("l", id(g), id(X)))
+    if got is None:  # g and X kept, so the ids stay theirs
+        fib, gt, lifts = _fibers(g), g.as_tuple(), {}
+        for h in hom(X, Y):
+            lifts.setdefault(tuple([gt[y] for y in h]), []).append(h)
+        got = prepared["l", id(g), id(X)] = (g, X, {}, [
+            (tuple([fib[b] for b in phi]), lifts.get(phi, ())) for phi in hom(X, g.dst)])
+    rows = got[2].get(img := frozenset(it))
+    if rows is None:
+        least, part = {}, _restrictor(sorted(img))
+        for over, hs in got[3]:
+            if 0 not in (on := part(over)):  # else no f lies over phi∘i
+                n = len(set(map(part, hs)))
+                least[on] = min((n, over), least.get(on, (n, over)))
+        rows = got[2][img] = sorted(least[on] for on in least
+                                    if least[on][0] == 0 or any(m & (m - 1) for m in on))
+    counts = prepared.setdefault(("n", id(A), id(Y)), (A, Y, {}))  # A, Y kept: ids stay theirs
+    for bound, over in rows:
+        cand = tuple(map(over.__getitem__, it))
+        n = counts[2].get(cand)
+        if n is None or 0 < -n <= bound:  # unknown, or a lower bound too small to decide
+            n = sum(1 for _ in islice(_search(A, Y, cand, tuple(range(len(it)))), bound + 1))
+            counts[2][cand] = n if n <= bound else -n
+        if abs(n) > bound:
+            return False
+    return True
 
-    A square (phi, f) has a filler iff f = h∘i for some h in H(phi), the
-    maps h: X -> Y with g∘h = phi, and every h∘i is one of the f over phi∘i.
-    So i ⧄ g iff, for every phi, the restrictions {h∘i} are as many as the f.
-    ``prepared`` keeps, per (g, X) by identity, each phi's fibers and, once
-    first needed, H(phi).  The f are counted from the enumeration memo of
-    (A, Y) when it holds them; otherwise they are streamed up to the first
-    one that is no restriction, and an abandoned stream keeps nothing, as
-    in ``_walk``."""
-    A, X, Y = i.src, i.dst, g.src
-    got = prepared.get((id(g), id(X)))
-    if got is None:
-        fib = _fibers(g)
-        rows = [[tuple([fib[b] for b in phi]), None] for phi in hom(X, g.dst)]
-        got = prepared[id(g), id(X)] = (g, X, rows)  # g and X kept, so the ids stay theirs
-    it = i.as_tuple()
-    # h∘i, and phi∘i's fibers; itemgetter needs two indices to return a tuple
-    restrict = itemgetter(*it) if len(it) > 1 else lambda t: tuple([t[x] for x in it])
-    enum = _table(A, Y, "enum")
-    for row in got[2]:
-        over, hs = row
-        cand = restrict(over)
-        if 0 in cand:
-            continue  # no f: A -> Y over phi∘i, so no square
-        if hs is None:
-            hs = row[1] = () if 0 in over else tuple(_search(X, Y, over, tuple(range(len(over)))))
-        fs = enum.get(cand)
-        if fs is None:
-            restricted = set(map(restrict, hs))
-            for f in _recorded(A, Y, cand, enum):
-                if f not in restricted:
-                    return False
-        elif len(fs) > len(hs):
-            return False
-        elif len(fs) > 1 and len(fs) != len(set(map(restrict, hs))):  # one f: any h gives it
-            return False
+
+def _lifts_right(i: CMap, g: CMap, prepared: dict) -> bool:
+    """Decide i ⧄ g by counting squares, for a member i prepared per ``_step``.
+    The squares with f: A -> Y are the phis with phi∘i = g∘f, the fillable
+    ones the distinct g∘h over the h with h∘i = f.  ``prepared`` keeps, per
+    (X, i's index tuple), the phis counted by phi∘i per B and the h grouped
+    by h∘i per Y.  One pass over hom(A, Y) stops at the first f with too few."""
+    A, X, Y, B, it, gt = i.src, i.dst, g.src, g.dst, i.as_tuple(), g.as_tuple()
+    phis = prepared.get(("r", id(X), id(B), it))
+    if phis is None:  # i and B kept, so the ids stay theirs
+        phis = prepared["r", id(X), id(B), it] = (i, B, Counter(map(_restrictor(it), hom(X, B))))
+    groups = prepared.get(("h", id(X), id(Y), it))
+    if groups is None:
+        groups, part = prepared.setdefault(("h", id(X), id(Y), it), (i, Y, {})), _restrictor(it)
+        for h in hom(X, Y):
+            groups[2].setdefault(part(h), []).append(h)
+    got = prepared.get(("f", id(A), id(Y)))  # hom(A, Y), once its memo entry is complete
+    fs = got[2] if got else enum_hom(A, Y)
+    if got is None and isinstance(fs, tuple):
+        prepared["f", id(A), id(Y)] = (A, Y, fs)
+    for f in fs:
+        n = phis[2].get(tuple([gt[y] for y in f]))
+        if n is not None:
+            hs = groups[2].get(f, ())
+            if n > len(hs) or n > 1 and n > len({tuple([gt[y] for y in h]) for h in hs}):
+                return False
     return True
 
 
@@ -227,26 +258,13 @@ class LiftCertificate:
         return next(_search(X, sq.g.src, cand, tuple(range(len(X.points)))), None) is None
 
     def to_json(self) -> dict:
-        fillers: dict | str
-        if not self.holds:
-            fillers = {}
-        else:
-            blobs = [sorted(h.assign.items()) for h in self.fillers]
-            if self.squares <= 64:
-                fillers = {str(k): dict(b) for k, b in enumerate(blobs)}
-            else:
-                digest = hashlib.sha256(
-                    json.dumps(blobs, sort_keys=True).encode()
-                ).hexdigest()
-                fillers = digest
-        return {
-            "holds": self.holds,
-            "squares": self.squares,
-            "counterexample": None
-            if self.counterexample is None
-            else self.counterexample.to_json(),
-            "fillers": fillers,
-        }
+        blobs = [sorted(h.assign.items()) for h in self.fillers]
+        fillers: dict | str = {} if not self.holds else (
+            {str(k): dict(b) for k, b in enumerate(blobs)} if self.squares <= 64
+            else hashlib.sha256(json.dumps(blobs, sort_keys=True).encode()).hexdigest())
+        sq = self.counterexample
+        return {"holds": self.holds, "squares": self.squares,
+                "counterexample": None if sq is None else sq.to_json(), "fillers": fillers}
 
 
 def lifts(i: CMap, g: CMap) -> LiftCertificate:
@@ -280,12 +298,9 @@ class BoundedClass:
 
     @property
     def caveat(self) -> str:
-        if self.exact:
-            return ""
-        return (
+        return "" if self.exact else (
             f"bounded universe (n={self.n}): each step after the first "
-            "over-approximates the true orthogonal within the universe"
-        )
+            "over-approximates the true orthogonal within the universe")
 
     def maps(self) -> list[CMap]:
         u = get_universe(self.n)
@@ -306,17 +321,12 @@ def _matrix_ok(u, rows: Sequence[int]) -> bool:
     """Spot-check a lifting matrix read from disk.  An isomorphism lifts
     against every map, so its row is all ones; and a fixed-seed sample of
     entries must agree with ``lifts_bool``."""
-    full = (1 << len(u)) - 1
+    full, rng = (1 << len(u)) - 1, random.Random(0)
     if len(rows) != len(u) or any(
-        row != full and is_isomorphism(u.map_at(k)) for k, row in enumerate(rows)
-    ):
+            row != full and is_isomorphism(u.map_at(k)) for k, row in enumerate(rows)):
         return False
-    rng = random.Random(0)
-    for _ in range(MATRIX_SAMPLE):
-        i, j = rng.randrange(len(u)), rng.randrange(len(u))
-        if (rows[i] >> j) & 1 != lifts_bool(u.map_at(i), u.map_at(j)):
-            return False
-    return True
+    sample = [(rng.randrange(len(u)), rng.randrange(len(u))) for _ in range(MATRIX_SAMPLE)]
+    return all((rows[i] >> j) & 1 == lifts_bool(u.map_at(i), u.map_at(j)) for i, j in sample)
 
 
 def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
@@ -335,7 +345,7 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
                      lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
-def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> list[int]:
+def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> tuple[list, Counter]:
     """Per row (members, letter), the bitmask over the positions p of ``ks``
     of the maps ``maps[ks[p]]`` that lift against every member (letter "l")
     or that every member lifts against (letter "r").  A row (members,
@@ -345,24 +355,27 @@ def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> lis
     Isomorphisms lift both ways against every map, so they are skipped as
     members and kept as candidates without a search.  A candidate's test
     stops at the first refuting member, and each row tries first the member
-    that last refuted a candidate.  A left row decides by ``_lifts_left``,
-    against its members as prepared in ``_PREPARED`` by this process in the
-    current ``_step``; a right row calls ``lifts_bool``."""
+    that last refuted a candidate.  A row decides by counting squares,
+    ``_lifts_left`` or ``_lifts_right``, against its members as prepared in
+    ``_PREPARED`` by this process in the current ``_step``.  Returns the
+    masks and the number of decisions made per letter."""
     orders = [[c for c in row[0] if not is_isomorphism(c)] for row in rows]
-    masks = [0] * len(rows)
+    masks, made = [0] * len(rows), Counter()
     for p, k in enumerate(ks):
         m = maps[k]
         iso = is_isomorphism(m)
         for r, (order, (_, letter, *pred)) in enumerate(zip(orders, rows)):
             lifted = True
             for pos, c in enumerate(() if iso else order):
-                if not (_lifts_left(m, c, _PREPARED) if letter == "l" else lifts_bool(c, m)):
+                made[letter] += 1
+                if not (_lifts_left(m, c, _PREPARED) if letter == "l"
+                        else _lifts_right(c, m, _PREPARED)):
                     order.insert(0, order.pop(pos))
                     lifted = False
                     break
             if lifted != (bool(pred) and pred[0](m)):
                 masks[r] |= 1 << p
-    return masks
+    return masks, made
 
 
 def _step(maps: Sequence[CMap], rows: Sequence[tuple], jobs: int,
@@ -370,10 +383,10 @@ def _step(maps: Sequence[CMap], rows: Sequence[tuple], jobs: int,
     """``_keep`` over ``ks`` (default: every map), in fixed blocks of
     ``STEP_BLOCK`` positions, one pool for all rows.  The orders of the
     members restart in each block, so verdicts and the lifting decisions
-    made are the same for every ``jobs``.  The members of left rows are
-    prepared by the process that sweeps them, a worker or, inline, this one,
-    and are dropped when the step ends.  This is the only caller of
-    ``pmap``."""
+    made are the same for every ``jobs``; they are added to ``DECISIONS``
+    in this process.  The members of the rows are prepared by the process
+    that sweeps them, a worker or, inline, this one, and are dropped when
+    the step ends.  This is the only caller of ``pmap``."""
     from ._parallel import pmap
 
     ks = range(len(maps)) if ks is None else ks
@@ -382,7 +395,8 @@ def _step(maps: Sequence[CMap], rows: Sequence[tuple], jobs: int,
         blocks = pmap(partial(_keep, maps, rows), [ks[s:s + STEP_BLOCK] for s in starts], jobs)
     finally:
         _PREPARED.clear()  # filled only when the blocks ran in this process
-    return [sum(b[r] << s for s, b in zip(starts, blocks)) for r in range(len(rows))]
+    DECISIONS.update(sum((made for _, made in blocks), Counter()))
+    return [sum(b[0][r] << s for s, b in zip(starts, blocks)) for r in range(len(rows))]
 
 
 def _bits(mask: int, size: int) -> str:
@@ -390,6 +404,13 @@ def _bits(mask: int, size: int) -> str:
     bit k at index k: one conversion, where testing ``(mask >> k) & 1`` for
     each k shifts the whole integer every time."""
     return format(mask, f"0{size}b")[::-1]
+
+
+def _words(base: tuple) -> tuple[dict, tuple]:
+    """A single-map base's memo, on its space pair, and its tag; else a fresh dict."""
+    if len(base) != 1:
+        return {}, ()
+    return _table(base[0].src, base[0].dst, "words"), base[0].as_tuple()
 
 
 def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) -> BoundedClass:
@@ -411,10 +432,7 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
         raise CapacityError(f"multi-letter orthogonal words at n={n} (max {MATRIX_MAX_N})")
     u = get_universe(n)
     base = tuple(base)
-    if len(base) == 1:
-        memo, tag = _table(base[0].src, base[0].dst, "words"), base[0].as_tuple()
-    else:
-        memo, tag = {}, ()
+    memo, tag = _words(base)
     cur = None  # indices of the class of the prefix read so far
     for end in range(1, len(word) + 1):
         key = (tag, word[:end], n)
@@ -439,12 +457,7 @@ class RetractWitness:
     retraction_cod: CMap
 
     def check(self, f: CMap, g: CMap) -> bool:
-        s, s2, r, r2 = (
-            self.section_dom,
-            self.section_cod,
-            self.retraction_dom,
-            self.retraction_cod,
-        )
+        s, s2, r, r2 = self.section_dom, self.section_cod, self.retraction_dom, self.retraction_cod
         return (
             compose(s, r) == identity(f.src)
             and compose(s2, r2) == identity(f.dst)
@@ -470,17 +483,10 @@ def is_retract_of(f: CMap, g: CMap) -> Optional[RetractWitness]:
             pins = [(d, b) for b, d in enumerate(s_cod)]
             pins += [(d, ft[r_dom[c]]) for c, d in enumerate(gt)]
             cand_r2 = _pinned([(1 << len(B.points)) - 1] * len(D.points), pins)
-            if 0 in cand_r2:
-                continue
-            r_cod = first_solution(D, B, cand_r2)
-            if r_cod is None:
-                continue
-            return RetractWitness(
-                map_from_tuple(A, C, s_dom),
-                map_from_tuple(B, D, s_cod),
-                map_from_tuple(C, A, r_dom),
-                map_from_tuple(D, B, r_cod),
-            )
+            r_cod = None if 0 in cand_r2 else first_solution(D, B, cand_r2)
+            if r_cod is not None:
+                return RetractWitness(map_from_tuple(A, C, s_dom), map_from_tuple(B, D, s_cod),
+                                      map_from_tuple(C, A, r_dom), map_from_tuple(D, B, r_cod))
     return None
 
 
@@ -507,7 +513,8 @@ def factor_search(
     composite p∘α∘i that ``factoring_maps`` builds for f's index, carried
     onto f's own endpoints: with f = pb∘(p∘α∘i)∘pa⁻¹ for relabelings pa, pb
     of f's source and target that canonicalization finds, the legs are
-    α∘i∘pa⁻¹ and pb∘p.
+    α∘i∘pa⁻¹ and pb∘p.  A single-map base keeps the composites next to its
+    classes, so later calls look f up without enumerating again.
     """
     if set(word) - {"l", "r"}:
         raise ValueError("word must be a string over {l, r}")
@@ -516,7 +523,11 @@ def factor_search(
     left = relative_orthogonal(base, word + "l", n, jobs=jobs)
     right = relative_orthogonal(base, word + "lr", n, jobs=jobs)
     u = get_universe(n)
-    got = factoring_maps(left, right).get(u.index_of_map(f))
+    memo, tag = _words(tuple(base))
+    found = memo.get((tag, word, n, "factoring"))
+    if found is None:
+        found = memo[tag, word, n, "factoring"] = factoring_maps(left, right)
+    got = found.get(u.index_of_map(f))
     if got is None:
         return None
     z, ai, p = got

@@ -17,6 +17,7 @@ from ftop.lifting import (
     Square,
     _fill_tuple,
     _lifts_left,
+    _lifts_right,
     _squares,
     _step,
     factor_search,
@@ -545,30 +546,27 @@ class TestRelativeOrthogonal:
             got = relative_orthogonal(BASES[base], word, 2).indices
             assert got == matrix_word(BASES[base], word, 2, rows), word
 
-    def test_repeated_first_letter_is_not_swept_again(self, monkeypatch):
+    def test_repeated_first_letter_is_not_swept_again(self):
         import ftop.lifting as lifting
 
         base = parse_map("{}-->{o}")
         first = relative_orthogonal([base], "l", 2)
-        calls = []
 
-        def counting(i, g):
-            calls.append((i, g))
-            return lifts_bool(i, g)
+        def decisions(word):  # the class, and the decisions its steps made per letter
+            before = dict(lifting.DECISIONS)
+            cls = relative_orthogonal([base], word, 2)
+            return cls, {k: v - before.get(k, 0) for k, v in lifting.DECISIONS.items()
+                         if v != before.get(k, 0)}
 
-        monkeypatch.setattr(lifting, "lifts_bool", counting)
-        assert relative_orthogonal([base], "l", 2).indices == first.indices
-        assert calls == []
-        # the step after the cached first letter runs inside the universe
-        relative_orthogonal([base], "lr", 2)
-        assert calls and not any(base is i or base is g for i, g in calls)
-        calls.clear()
-        relative_orthogonal([base], "lr", 2)
-        assert calls == []
+        cls, made = decisions("l")
+        assert cls.indices == first.indices and made == {}
+        # the step after the cached first letter is the only one swept
+        made = decisions("lr")[1]
+        assert set(made) == {"r"} and made["r"] > 0
+        assert decisions("lr")[1] == {}
         # a first letter skips the isomorphisms, as every later one does
-        relative_orthogonal([base], "r", 2)
         u = get_universe(2)
-        assert len(calls) == len(u) - sum(map(is_isomorphism, u.maps)) == 26
+        assert decisions("r")[1] == {"r": len(u) - sum(map(is_isomorphism, u.maps))} == {"r": 26}
 
     def test_two_map_base_stops_at_the_first_refuting_map(self, monkeypatch):
         import ftop.lifting as lifting
@@ -671,14 +669,21 @@ class TestStep:
             assert part == sum(((full >> k) & 1) << p for p, k in enumerate(ks))
 
 
-def check_left(i, g, prepared):
-    """The left-row kernel against ``lifts_bool``: once streaming the
-    enumerations of f, once reading the memo entries a complete stream left."""
-    _table(i.src, g.src, "enum").clear()
+def check_kernel(kernel, i, g, prepared):
+    """A sweep kernel against ``lifts_bool``, once with cold prepared state
+    and once with the state that earlier pairs left in ``prepared``; the
+    enumeration memo of (A, Y) is emptied first, so a right row streams
+    hom(A, Y) before it reads a complete memo entry."""
     holds = lifts_bool(i, g)
     _table(i.src, g.src, "enum").clear()
-    assert _lifts_left(i, g, prepared) == holds, (i, g)
-    assert _lifts_left(i, g, prepared) == holds, (i, g)
+    assert kernel(i, g, {}) == holds, (i, g)
+    assert kernel(i, g, prepared) == holds, (i, g)
+
+
+def sampled_pairs(n, count):
+    maps, rng = get_universe(n).maps, random.Random(0)
+    return [(maps[rng.randrange(len(maps))], maps[rng.randrange(len(maps))])
+            for _ in range(count)]
 
 
 class TestLeftRows:
@@ -686,13 +691,12 @@ class TestLeftRows:
         maps, prepared = get_universe(2).maps, {}
         for i in maps:
             for g in maps:
-                check_left(i, g, prepared)
+                check_kernel(_lifts_left, i, g, prepared)
 
     def test_sampled_pairs_at_3_match_lifts_bool(self):
-        maps, prepared = get_universe(3).maps, {}
-        rng = random.Random(0)
-        for _ in range(2000):
-            check_left(maps[rng.randrange(len(maps))], maps[rng.randrange(len(maps))], prepared)
+        prepared = {}
+        for i, g in sampled_pairs(3, 2000):
+            check_kernel(_lifts_left, i, g, prepared)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
@@ -739,6 +743,44 @@ class TestLeftRows:
         assert lifting._PREPARED == {}
         del member
         assert spaces_alive("left_") == 0
+
+
+class TestRightRows:
+    def test_every_pair_at_2_matches_lifts_bool(self):
+        maps, prepared = get_universe(2).maps, {}
+        for i in maps:
+            for g in maps:
+                check_kernel(_lifts_right, i, g, prepared)
+
+    def test_sampled_pairs_at_3_match_lifts_bool(self):
+        prepared = {}
+        for i, g in sampled_pairs(3, 2000):
+            check_kernel(_lifts_right, i, g, prepared)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
+        u = get_universe(3)
+        members = [u.map_at(k) for k in range(3, len(u), 41)]
+        mask, = _step(u.maps, [(members, "r")], jobs)
+        expect = sum(1 << k for k, m in enumerate(u.maps)
+                     if all(lifts_bool(c, m) for c in members))
+        assert mask == expect
+        assert 0 < mask < (1 << len(u)) - 1
+
+    def test_refuted_decision_against_a_large_member_stays_small(self):
+        # the member's domain has 9 points, so hom(A, Y) has 4**9 maps; the
+        # pass over it streams and stops at the first f without enough
+        # fillers, and the prepared groups hold the 4**5 maps of hom(X, Y)
+        f = sub(2)
+        g = parse_map("{a<->b<->c<->d}-->{a=b=c=d}")
+        tracemalloc.start()
+        try:
+            holds = _lifts_right(f, g, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds is False
+        assert peak < 1 << 20
 
 
 class TestRetract:
@@ -848,6 +890,29 @@ class TestFactorSearch:
             if got is not None:
                 assert compose(got.i, got.p) == f
                 assert got.i in left and got.p in right
+
+    def test_second_call_reads_the_kept_composites(self, monkeypatch):
+        import ftop.lifting as lifting
+
+        real, calls = lifting.factoring_maps, []
+
+        def counting(left, right):
+            calls.append(left.word)
+            return real(left, right)
+
+        monkeypatch.setattr(lifting, "factoring_maps", counting)
+        base = parse_map("{fs_a<-fs_u->fs_b}-->{fs_a=fs_u->fs_b}")
+        f = identity(SIERPINSKI)
+        first, second = (factor_search(f, [base], "", 2) for _ in range(2))
+        assert calls == ["l"]
+        assert (first.i, first.p) == (second.i, second.p)
+        assert compose(first.i, first.p) == f
+        factor_search(EMPTY_TO_POINT, [base], "", 2)
+        factor_search(f, [base], "l", 2)  # another word enumerates its own composites
+        assert calls == ["l", "ll"]
+        # the composites sit next to the classes and die with the base
+        del base, first, second
+        assert spaces_alive("fs_") == 0
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_witness_is_the_oracles_on_catalog_maps(self, n):

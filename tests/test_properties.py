@@ -203,6 +203,15 @@ class TestSpaceFlags:
         for x in enumerate_spaces(4):
             assert hereditarily_normal(x) == hereditarily_normal_by_separation(x)
 
+    def test_hereditary_normal_is_normality_of_every_subspace(self, monkeypatch):
+        # oracle: a Space built for every subset; the checker itself builds none
+        spaces = enumerate_spaces(4)
+        want = [all(normal(x.subspace([p for k, p in enumerate(x.points) if (m >> k) & 1]))
+                    for m in range(1 << len(x.points))) for x in spaces]
+        monkeypatch.setattr(Space, "subspace", None)
+        assert [hereditarily_normal(x) for x in spaces] == want
+        assert 0 < sum(want) < len(spaces)
+
     def test_t1_iff_discrete(self):
         for x in enumerate_spaces(4):
             assert t1(x) == discrete(x)

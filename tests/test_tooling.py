@@ -125,17 +125,19 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_only_keep_decides_left_rows():
-    # the left-row kernel reads members prepared for one _step, so it has
-    # one caller, the sweep itself
+    # the row kernels read members prepared for one _step, so each has one
+    # caller, the sweep itself
     calls = [
-        (path.name, getattr(top, "name", None))
+        (path.name, getattr(top, "name", None), name)
         for path in sorted(SRC.glob("*.py"))
         for top in ast.parse(path.read_text(), filename=str(path)).body
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_lifts_left"
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+        in ("_lifts_left", "_lifts_right")
     ]
-    assert calls == [("lifting.py", "_keep")]
+    assert calls == [("lifting.py", "_keep", "_lifts_left"),
+                     ("lifting.py", "_keep", "_lifts_right")]
 
 
 # installs the benchmark's layer tracer, then counts a few small calls
@@ -194,23 +196,24 @@ def test_benchmark_tracer_binds_to_the_package(tmp_path):
     assert metrics["universe.cache_bytes_written"] > 0
 
 
-# the lifts_bool calls of one word step, with a fresh base at each jobs value
+# the lifting decisions of one word's steps, with a fresh base at each jobs value
 _STEP_TRACE = """
 import json
 from layers import Tracer
 tracer = Tracer()
 tracer.install()
-from ftop.lifting import relative_orthogonal
+from ftop import lifting
 from ftop.parser import parse_map
 from ftop.universe import get_universe
 get_universe(3)
 runs = []
 for jobs in (1, 2):
-    before = tracer.metrics()
-    cls = relative_orthogonal([parse_map("{}-->{o}")], "rll", 3, jobs=jobs)
+    before, made = tracer.metrics(), dict(lifting.DECISIONS)
+    cls = lifting.relative_orthogonal([parse_map("{}-->{o}")], "rll", 3, jobs=jobs)
     after = tracer.metrics()
-    runs.append([list(cls.indices)] + [after[k] - before[k] for k in (
-        "lifting.lifts_bool.calls", "lifting.squares", "parallel.pmap.forked_calls")])
+    runs.append([list(cls.indices)]
+                + [lifting.DECISIONS[k] - made.get(k, 0) for k in ("l", "r")]
+                + [after[k] - before[k] for k in ("lifting.squares", "parallel.pmap.forked_calls")])
 print(json.dumps(runs))
 """
 
@@ -220,11 +223,11 @@ def test_word_step_counts_do_not_depend_on_jobs():
     out = subprocess.run([sys.executable, "-c", _STEP_TRACE], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    (idx1, calls1, squares1, forked1), (idx2, calls2, squares2, forked2) = json.loads(
+    (idx1, *made1, squares1, forked1), (idx2, *made2, squares2, forked2) = json.loads(
         out.stdout.splitlines()[-1])
     assert forked1 == 0 and forked2 > 0  # the second run really used a pool
-    assert (idx1, calls1, squares1) == (idx2, calls2, squares2)
-    assert len(idx1) == 514 and calls1 > 0
+    assert (idx1, made1, squares1) == (idx2, made2, squares2)
+    assert len(idx1) == 514 and min(made1) > 0  # both letters decided
 
 
 def test_parser_has_one_tokenizer_and_no_parser_objects():
