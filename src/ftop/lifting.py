@@ -4,10 +4,11 @@ A lifting problem for i: A -> X against g: Y -> B is a commutative square
 (f: A -> Y, phi: X -> B); "i lifts against g" means every such square admits a
 monotone diagonal h: X -> Y with h∘i = f and g∘h = phi.  Squares are
 enumerated in a fixed canonical order (phi lexicographic, then f), so failing
-certificates always report the least counterexample.  ``lifts`` and
-``lifts_bool`` share one square walk, ``_walk``, which looks up the pair
-memos of the solver once per call, not once per square.  A sweep's rows
-count squares instead: the fillable ones are the distinct (h∘i, g∘h) over
+certificates always report the least counterexample.  ``_squares`` is the
+one enumeration of squares, reading the solver's enumeration memo once per
+call; ``lifts`` and ``lifts_bool`` fill its squares in order, each through
+``first_solution``'s memo, and stop at the first unfillable one.  A sweep's
+rows count squares instead: the fillable ones are the distinct (h∘i, g∘h) over
 h: X -> Y, and i lifts iff no group of squares, by phi in ``_lifts_left`` or
 by f in ``_lifts_right``, outnumbers its fillable ones.
 """
@@ -61,25 +62,29 @@ class Square:
         return {"f": map_to_json(self.f), "phi": map_to_json(self.phi)}
 
 
-def _squares(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(phi, f) of every commutative square from i to g, in canonical order,
-    as index tuples."""
+def _squares(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """(phi, f, over) of every commutative square from i to g, in canonical
+    order, as index tuples; ``over[x]`` is the mask of g's fiber over phi(x).
+    The enumeration memo of (A, Y) is looked up once per call."""
     A, Y, B = i.src, g.src, g.dst
     if A.points and not Y.points:
         return  # there is no f: A -> Y, so no square
     it = i.as_tuple()
     fib = _fibers(g)
+    enum = _table(A, Y, "enum")
     for phi in hom(i.dst, B):
         cand = tuple([fib[phi[x]] for x in it])
         if 0 in cand:
             continue
-        for f in enum_hom(A, Y, cand):
-            yield phi, f
+        over = tuple([fib[b] for b in phi])
+        fs = enum.get(cand)
+        for f in _recorded(A, Y, cand, enum) if fs is None else fs:
+            yield phi, f, over
 
 
 def squares(i: CMap, g: CMap) -> list[Square]:
     """All commutative squares from i to g."""
-    return [_square(i, g, phi_t, f_t) for phi_t, f_t in _squares(i, g)]
+    return [_square(i, g, phi_t, f_t) for phi_t, f_t, _ in _squares(i, g)]
 
 
 def _square(i: CMap, g: CMap, phi_t, f_t) -> Square:
@@ -110,34 +115,13 @@ def fill(sq: Square) -> Optional[CMap]:
 def _walk(i: CMap, g: CMap, fillers: Optional[list]) -> Optional[tuple]:
     """Fill the squares from i to g in canonical order and return the
     (phi, f) of the first unfillable one, or None; each least filler is
-    appended to ``fillers`` when it is a list.  The same steps as
-    ``_squares`` and ``_fill_tuple``, with the enumeration memo of (A, Y)
-    and the filler memo of (X, Y) looked up once per call, not per square."""
-    A, X, Y, B = i.src, i.dst, g.src, g.dst
-    if A.points and not Y.points:
-        return None  # there is no f: A -> Y, so no square
-    it = i.as_tuple()
-    fib = _fibers(g)
-    enum, first = _table(A, Y, "enum"), _table(X, Y, "first")
-    for phi in hom(X, B):
-        cand = tuple([fib[phi[x]] for x in it])
-        if 0 in cand:
-            continue
-        over = [fib[b] for b in phi]
-        fs = enum.get(cand)
-        for f in _recorded(A, Y, cand, enum) if fs is None else fs:
-            key = over[:]
-            for xa, fa in zip(it, f):
-                key[xa] &= 1 << fa
-            key = tuple(key)
-            try:
-                h = first[key]
-            except KeyError:
-                h = first[key] = next(_search(X, Y, key, X.linear_extension()), None)
-            if h is None:
-                return phi, f
-            if fillers is not None:
-                fillers.append(h)
+    appended to ``fillers`` when it is a list."""
+    for phi, f, over in _squares(i, g):
+        h = _fill_tuple(i, g, f, over)
+        if h is None:
+            return phi, f
+        if fillers is not None:
+            fillers.append(h)
     return None
 
 
@@ -472,7 +456,7 @@ def is_retract_of(f: CMap, g: CMap) -> Optional[RetractWitness]:
     C, D = g.src, g.dst
     ft, gt = f.as_tuple(), g.as_tuple()
     # a section (s_dom, s_cod) is a commutative square from f to g
-    for s_cod, s_dom in _squares(f, g):
+    for s_cod, s_dom, _ in _squares(f, g):
         # retraction on domains: pinned by r∘s = id
         cand_r = _pinned([(1 << len(A.points)) - 1] * len(C.points),
                          [(c, a) for a, c in enumerate(s_dom)])

@@ -9,16 +9,15 @@ from operator import and_
 
 import pytest
 
-from ftop._solve import _table, enum_hom, first_solution, hom
+from ftop._solve import _search, _table, enum_hom, first_solution, hom
 from ftop.errors import CapacityError, MapError
 from ftop.lifting import (
     BoundedClass,
     LiftCertificate,
     Square,
-    _fill_tuple,
     _lifts_left,
     _lifts_right,
-    _squares,
+    _pinned,
     _step,
     factor_search,
     factoring_maps,
@@ -342,18 +341,21 @@ class TestLifts:
         assert key not in X._lazy
 
     def test_refuted_sweep_keeps_no_enumeration(self):
-        # the fifth square refutes this; enumerations the short-circuit
-        # abandons must keep nothing (an eager memo peaks at ~30 MB here)
-        f = sub(2)
+        # the fifth square refutes sub(2); enumerations the short-circuit
+        # abandons must keep nothing (an eager memo peaks at ~30 MB here).
+        # sub(4) is why a direct decision walks instead of counting: the
+        # right-row kernel would tabulate all of hom(X, Y) and hom(X, B)
+        # first (seconds, ~100 MiB), where the walk stops at an early square
         g = parse_map("{a<->b<->c<->d}-->{a=b=c=d}")
-        tracemalloc.start()
-        try:
-            holds = lifts_bool(f, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert holds is False
-        assert peak < 1 << 20
+        for f in (sub(2), sub(4)):
+            tracemalloc.start()
+            try:
+                holds = lifts_bool(f, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert holds is False
+            assert peak < 1 << 20
 
     def test_parsed_base_leaves_no_space_alive(self):
         # the classes cached on a base die with it
@@ -372,23 +374,27 @@ def forget(i, g):
 
 
 def oracle_walk(i, g):
-    """Oracle: the square walk ``lifts`` and ``lifts_bool`` made before the
-    fused one, ``_squares`` with one ``_fill_tuple`` per square, from empty
-    memos.  (fillers before the first unfillable square, its (phi, f) or None)"""
-    forget(i, g)
-    fib, fillers = _fibers(g), []
-    for phi, f in _squares(i, g):
-        h = _fill_tuple(i, g, f, [fib[b] for b in phi])
-        if h is None:
-            return fillers, (phi, f)
-        fillers.append(h)
+    """Oracle: the squares from i to g in canonical order, each filled by a
+    fresh search along X's linear extension; it reads and fills neither the
+    enumeration memo of (A, Y) nor the filler memo of (X, Y).
+    (fillers before the first unfillable square, its (phi, f) or None)"""
+    A, X, Y, B = i.src, i.dst, g.src, g.dst
+    it, fib, fillers = i.as_tuple(), _fibers(g), []
+    for phi in hom(X, B):
+        over = [fib[b] for b in phi]
+        for f in _search(A, Y, [over[x] for x in it], tuple(range(len(A.points)))):
+            key = tuple(_pinned(over[:], zip(it, f)))
+            h = next(_search(X, Y, key, X.linear_extension()), None)
+            if h is None:
+                return fillers, (phi, f)
+            fillers.append(h)
     return fillers, None
 
 
 def check_walk(i, g):
+    fillers, bad = oracle_walk(i, g)
     forget(i, g)  # the walk under test fills the memos itself
     holds, cert = lifts_bool(i, g), lifts(i, g)
-    fillers, bad = oracle_walk(i, g)
     assert holds == cert.holds == (bad is None)
     assert cert.squares == len(fillers) + (bad is not None)
     if bad is None:
@@ -397,19 +403,19 @@ def check_walk(i, g):
     else:
         assert cert.fillers == ()
         assert (cert.counterexample.phi.as_tuple(), cert.counterexample.f.as_tuple()) == bad
-    # and again from the memo entries the oracle left
+    # and again from the memo entries those calls left
     assert lifts_bool(i, g) == holds
     assert lifts(i, g) == cert
 
 
-class TestFusedWalk:
-    def test_every_pair_at_2_matches_the_square_by_square_walk(self):
+class TestSquareWalk:
+    def test_every_pair_at_2_matches_a_memo_free_walk(self):
         maps = get_universe(2).maps
         for i in maps:
             for g in maps:
                 check_walk(i, g)
 
-    def test_sampled_pairs_at_3_match_the_square_by_square_walk(self):
+    def test_sampled_pairs_at_3_match_a_memo_free_walk(self):
         maps = get_universe(3).maps
         rng = random.Random(0)
         for _ in range(2000):

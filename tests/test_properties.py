@@ -93,6 +93,25 @@ def oracle_closed_pair_extension(f):
     return True
 
 
+def all_pairs_closed_pair_extension(f):
+    """All pairs: the closure of the image of every closed set, then every
+    pair of them."""
+    src, dst, t = f.src, f.dst, f.as_tuple()
+    n = len(src.points)
+    ext = []
+    for c in _closed_masks(src):
+        d = dst.closure_mask(_image_mask(f, c))
+        # every closed set pairs with the empty one, so each must pull back
+        if sum(1 << i for i in range(n) if (d >> t[i]) & 1) != c:
+            return False
+        ext.append((c, d))
+    return not any(
+        c1 & c2 == 0 and d1 & d2
+        for a, (c1, d1) in enumerate(ext)
+        for c2, d2 in ext[a + 1:]
+    )
+
+
 class TestSetLevelFlags:
     def test_surjective_injective_examples(self):
         assert surjective(M_TO_LAMBDA)
@@ -150,6 +169,12 @@ class TestSetLevelFlags:
             assert got == oracle_closed_pair_extension(f)
             verdicts.add(got)
         assert verdicts == {True, False}
+
+    def test_point_closures_match_the_all_pairs_version(self):
+        u = get_universe(3)
+        got = [closed_pair_extension(f) for f in u.maps]
+        assert got == [all_pairs_closed_pair_extension(f) for f in u.maps]
+        assert 0 < sum(got) < len(got)
 
     def test_quotient_map_closes_the_projected_relation(self):
         # two Sierpinski spaces glued closed point to open point: a chain

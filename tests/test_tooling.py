@@ -80,10 +80,10 @@ def test_verify_steps_only_in_run_sweep():
 
 
 def test_lifts_share_one_square_walk():
-    # lifts and lifts_bool walk the squares in _walk, which reads the pair
-    # memos once per call; the per-square helpers serve fill, squares and
-    # is_retract_of only, and the least filler along a linear extension is
-    # searched only by the walk and by first_solution
+    # lifts and lifts_bool walk the squares in _walk, which fills the squares
+    # of _squares, the one enumeration, through _fill_tuple and reads no memo
+    # itself; the least filler along a linear extension is searched only by
+    # first_solution
     calls, first = {}, []
     for path in (SRC / "lifting.py", SRC / "_solve.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -100,7 +100,9 @@ def test_lifts_share_one_square_walk():
     for name in ("lifts", "lifts_bool"):
         assert "_walk" in calls[name]
         assert not calls[name] & {"_squares", "_fill_tuple", "_search", "first_solution"}
-    assert sorted(first) == ["_walk", "first_solution"]
+    assert {"_squares", "_fill_tuple"} <= calls["_walk"]
+    assert not calls["_walk"] & {"_search", "_table", "_recorded", "first_solution"}
+    assert first == ["first_solution"]
 
 
 def test_one_factorization_path():
@@ -155,7 +157,7 @@ get_universe(2)
 sq, = lifting.squares(EMPTY_TO_POINT, EMPTY_TO_POINT)
 point = EMPTY_TO_POINT.dst
 snaps = [tracer.metrics()]
-# one square each, walked without the traced per-square names
+# one square each, filled through the traced per-square names
 for _ in range(2):
     lifting.lifts_bool(EMPTY_TO_POINT, EMPTY_TO_POINT)
 snaps.append(tracer.metrics())
@@ -181,11 +183,12 @@ def test_benchmark_tracer_binds_to_the_package(tmp_path):
     def delta(name, start, end):
         return end[name] - start[name]
 
-    # a lifts_bool sweep fills its squares inside the walk: the traced
-    # filler search, enumeration and square names see none of them
+    # each lifts_bool fills its one square through _fill_tuple and
+    # first_solution; _squares reads the enumeration memo, not enum_hom
     assert delta("lifting.lifts_bool.calls", before, swept) == 2
-    for name in ("solve.first_solution.calls", "solve.enum_hom.calls", "lifting.squares"):
-        assert delta(name, before, swept) == 0, name
+    assert delta("lifting.squares", before, swept) == 2
+    assert delta("solve.first_solution.calls", before, swept) == 2
+    assert delta("solve.enum_hom.calls", before, swept) == 0
     # the direct calls: first_solution once, and once more under fill
     assert delta("solve.first_solution.calls", swept, metrics) == 2
     assert delta("solve.enum_hom.calls", swept, metrics) == 1
