@@ -4,14 +4,19 @@
 the inherited callable, never pickled, and pipes back its pickled results, or
 its exception and traceback for the parent to re-raise.  With jobs <= 1,
 fewer than two items or no ``os.fork`` it runs inline, with the same results.
+``POOL`` counts, in this process, the calls, their items and the calls that
+forked.
 """
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+POOL: Counter = Counter()  # pmap "calls", their "items", and the calls that "forked"
 
 
 def default_jobs() -> int:
@@ -35,8 +40,10 @@ def _work(fn: Callable, share: list, fd: int) -> None:  # a worker: never return
 def pmap(fn: Callable[[T], R], items: Iterable[T], jobs: int | None) -> list[R]:
     seq = list(items)
     procs = min(default_jobs() if jobs is None else jobs, len(seq))
+    POOL.update(calls=1, items=len(seq))
     if procs < 2 or not hasattr(os, "fork"):
         return [fn(x) for x in seq]
+    POOL["forked"] += 1
     import pickle, signal  # here, so that a serial run never imports them
 
     out, pids, pipes = [None] * len(seq), [], []  # pipes: each worker's read end

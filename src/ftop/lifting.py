@@ -34,6 +34,10 @@ from .universe import _artifact, _canon, _inverse, automorphisms, get_universe
 
 MATRIX_MAX_N = 3  # largest bound for multi-letter words and the pairwise lifting matrix
 STEP_BLOCK = 64  # positions per work item of a _step
+# the estimated work of a _step (see _pays) from which forking two cold workers
+# pays; below it the step runs in this process: every step over universe(3)
+# (at most 2 x 661 x 8^3), not the lifting matrix, universe(4) or spaces(5)
+POOL_MIN_WORK = 1 << 21
 
 
 def monotone_maps(x: Space, y: Space) -> list[CMap]:
@@ -65,18 +69,22 @@ class Square:
 def _squares(i: CMap, g: CMap) -> Iterator[tuple[tuple[int, ...], ...]]:
     """(phi, f, over) of every commutative square from i to g, in canonical
     order, as index tuples; ``over[x]`` is the mask of g's fiber over phi(x).
-    The enumeration memo of (A, Y) is looked up once per call."""
-    A, Y, B = i.src, g.src, g.dst
-    if A.points and not Y.points:
-        return  # there is no f: A -> Y, so no square
+    Only phis with a nonempty fiber at each point of i's image are
+    enumerated: no f lies over the others.  The enumeration memo of (A, Y)
+    is looked up once per call."""
+    A, X, Y, B = i.src, i.dst, g.src, g.dst
     it = i.as_tuple()
     fib = _fibers(g)
+    hit = sum(1 << b for b, m in enumerate(fib) if m)  # the points of B with a nonempty fiber
+    masks = [(1 << len(B.points)) - 1] * len(X.points)
+    for x in it:
+        masks[x] = hit
+    if 0 in masks:
+        return  # B is empty, or Y is and A is not: no square
     enum = _table(A, Y, "enum")
-    for phi in hom(i.dst, B):
-        cand = tuple([fib[phi[x]] for x in it])
-        if 0 in cand:
-            continue
+    for phi in enum_hom(X, B, masks):
         over = tuple([fib[b] for b in phi])
+        cand = tuple([over[x] for x in it])
         fs = enum.get(cand)
         for f in _recorded(A, Y, cand, enum) if fs is None else fs:
             yield phi, f, over
@@ -362,21 +370,33 @@ def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> tup
     return masks, made
 
 
+def _pays(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> bool:
+    """Whether a step's estimated work, rows x candidates x 8^(the largest
+    point count of a candidate's ends), reaches ``POOL_MIN_WORK``: each
+    worker prepares the rows' members again, and at n=3 that preparing is
+    most of a step."""
+    scale = len(rows) * len(ks)
+    return any(scale << 3 * max(len(m.src.points), len(m.dst.points)) >= POOL_MIN_WORK
+               for m in map(maps.__getitem__, ks))
+
+
 def _step(maps: Sequence[CMap], rows: Sequence[tuple], jobs: int,
           ks: Optional[Sequence[int]] = None) -> list[int]:
     """``_keep`` over ``ks`` (default: every map), in fixed blocks of
-    ``STEP_BLOCK`` positions, one pool for all rows.  The orders of the
-    members restart in each block, so verdicts and the lifting decisions
-    made are the same for every ``jobs``; they are added to ``DECISIONS``
-    in this process.  The members of the rows are prepared by the process
-    that sweeps them, a worker or, inline, this one, and are dropped when
-    the step ends.  This is the only caller of ``pmap``."""
+    ``STEP_BLOCK`` positions, one pool for all rows if the step pays for it
+    (``_pays``), else in this process.  The orders of the members restart
+    in each block, so verdicts and the lifting decisions made are the same
+    for every ``jobs``; they are added to ``DECISIONS`` in this process.
+    The members of the rows are prepared by the process that sweeps them,
+    a worker or, inline, this one, and are dropped when the step ends.
+    This is the only caller of ``pmap``."""
     from ._parallel import pmap
 
     ks = range(len(maps)) if ks is None else ks
     starts = range(0, len(ks), STEP_BLOCK)
     try:
-        blocks = pmap(partial(_keep, maps, rows), [ks[s:s + STEP_BLOCK] for s in starts], jobs)
+        blocks = pmap(partial(_keep, maps, rows), [ks[s:s + STEP_BLOCK] for s in starts],
+                      jobs if _pays(maps, rows, ks) else 1)
     finally:
         _PREPARED.clear()  # filled only when the blocks ran in this process
     DECISIONS.update(sum((made for _, made in blocks), Counter()))

@@ -368,7 +368,10 @@ class Universe:
         self._starts = list(itertools.accumulate((len(b[2]) for b in self.blocks), initial=0))
         self._block = {(si, di): (start, codes)
                        for (si, di, codes), start in zip(self.blocks, self._starts)}
-        self._space_index = {space_key(s): k for k, s in enumerate(self.spaces)}
+        # a catalog space is canonically labeled, so its own encoding is its
+        # key: a load runs no n! scan of _canon per space
+        self._space_index = {(size := len(s.points), _enc_bits(size, s.up, range(size))): k
+                             for k, s in enumerate(self.spaces)}
 
     def __len__(self) -> int:
         return self._starts[-1]

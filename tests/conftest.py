@@ -10,3 +10,13 @@ def _isolated_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("FTOP_CACHE_DIR", str(tmp_path_factory.mktemp("ftop_cache")))
         yield
+
+
+@pytest.fixture
+def forked_steps(monkeypatch):
+    """Every ``_step`` with two or more blocks forks at ``jobs >= 2``, also the
+    small ones that would otherwise run in the calling process, so a test
+    comparing ``jobs=1`` with a pool at n <= 3 still compares two paths."""
+    import ftop.lifting as lifting
+
+    monkeypatch.setattr(lifting, "POOL_MIN_WORK", 0)

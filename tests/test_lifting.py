@@ -14,10 +14,13 @@ from ftop.errors import CapacityError, MapError
 from ftop.lifting import (
     BoundedClass,
     LiftCertificate,
+    STEP_BLOCK,
     Square,
     _lifts_left,
     _lifts_right,
+    _pays,
     _pinned,
+    _squares,
     _step,
     factor_search,
     factoring_maps,
@@ -41,11 +44,13 @@ from ftop.registry import (
     OPEN_POINT_INCL,
     POINT,
     SIERPINSKI,
+    SUBSET_ARCHETYPE_BWD,
+    SUBSET_ARCHETYPE_FWD,
 )
 from ftop.space import (
     CMap, Space, _fibers, compose, identity, is_isomorphism, map_from_tuple, sub,
 )
-from ftop.universe import get_universe
+from ftop.universe import enumerate_spaces, get_universe
 
 
 def spaces_alive(prefix):
@@ -408,6 +413,28 @@ def check_walk(i, g):
     assert lifts(i, g) == cert
 
 
+def filtered_squares(i, g):
+    """Oracle: ``_squares`` as every phi of hom(X, B), skipping those with an
+    empty fiber at a point of i's image, each with a fresh search for f."""
+    it, fib = i.as_tuple(), _fibers(g)
+    for phi in hom(i.dst, g.dst):
+        over = tuple([fib[b] for b in phi])
+        cand = [over[x] for x in it]
+        if 0 not in cand:
+            for f in _search(i.src, g.src, cand, tuple(range(len(i.src.points)))):
+                yield phi, f, over
+
+
+# pairs whose filler domain X does not list its points along its linear
+# extension, and for which a least filler in point order is another map
+UNORDERED_PAIRS = (
+    ("{a}-->{a,v,w,a->v,w->v}", "{x,y,z,x->z,y->z}-->{x=y=z,w}"),
+    ("{a<->b}-->{v,a=b,w,a->v,w->v}", "{x,y,z,x->z,y->z}-->{x=y=z,w}"),
+    ("{a}-->{v,w,a,a->v,w->v}", "{x,y,z,x->z,y->z}-->{w,v,x=y=z,w->v,v->w}"),
+    ("{a<->b<->c}-->{a=b=c,v,w,a->v,w->v}", "{x,y,z,x->z,y->z}-->{w,v,x=y=z,w->v,v->w}"),
+)
+
+
 class TestSquareWalk:
     def test_every_pair_at_2_matches_a_memo_free_walk(self):
         maps = get_universe(2).maps
@@ -420,6 +447,19 @@ class TestSquareWalk:
         rng = random.Random(0)
         for _ in range(2000):
             check_walk(maps[rng.randrange(len(maps))], maps[rng.randrange(len(maps))])
+
+    @pytest.mark.parametrize("pair", UNORDERED_PAIRS)
+    def test_pairs_out_of_extension_order_match_a_memo_free_walk(self, pair):
+        i, g = map(parse_map, pair)
+        X = i.dst
+        assert X.linear_extension() != tuple(range(len(X.points)))
+        check_walk(i, g)
+
+    def test_squares_skip_the_phis_without_a_fiber(self):
+        pairs = [(i, g) for i in get_universe(2).maps for g in get_universe(2).maps]
+        pairs += sampled_pairs(3, 2000)
+        for i, g in pairs:
+            assert list(_squares(i, g)) == list(filtered_squares(i, g)), (i, g)
 
 
 class TestRelativeOrthogonal:
@@ -477,6 +517,7 @@ class TestRelativeOrthogonal:
         assert one.exact and not one.caveat
         assert not two.exact and "over-approximate" in two.caveat
 
+    @pytest.mark.usefixtures("forked_steps")
     def test_jobs_do_not_change_results(self):
         # a fresh base per call: a class cached on the base would answer the
         # second call without running its pool
@@ -484,6 +525,7 @@ class TestRelativeOrthogonal:
         b = relative_orthogonal([parse_map("{}-->{o}")], "r", 3, jobs=2)
         assert a.indices == b.indices
 
+    @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="pools need fork")
     def test_pool_workers_build_no_catalog_map(self, monkeypatch):
         # the parent builds the catalog maps before the pool forks, so its
@@ -532,6 +574,7 @@ class TestRelativeOrthogonal:
                 expect = tuple(k for k, m in enumerate(maps) if m in members)
                 assert relative_orthogonal(base, word, 2).indices == expect, word
 
+    @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("word", ["rl", "lrr", "rllr"])
     def test_jobs_do_not_change_word_steps(self, word):
         a = relative_orthogonal([parse_map("{}-->{o}")], word, 3, jobs=1)
@@ -608,6 +651,7 @@ class TestRelativeOrthogonal:
         assert _load_cache("matrix_n3")["rows"] == [hex(r) for r in rows] != zeros
         assert len(matrix_word([EMPTY_TO_POINT], "rr", 3, rows)) == 67
 
+    @pytest.mark.usefixtures("forked_steps")
     def test_words_match_the_matrix_at_3(self):
         # after the test above, which leaves the n=3 matrix in the cache
         from ftop.verify import _LADDER
@@ -656,6 +700,7 @@ class TestRelativeOrthogonal:
 
 
 class TestStep:
+    @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("n", [2, 3])
     def test_rows_and_index_subsets_match_single_steps(self, n, jobs):
@@ -673,6 +718,36 @@ class TestStep:
         ks = tuple(range(1, len(u), 3))
         for full, part in zip(together, _step(u.maps, rows, jobs, ks=ks)):
             assert part == sum(((full >> k) & 1) << p for p, k in enumerate(ks))
+
+
+class TestPool:
+    def test_only_steps_that_pay_fork(self):
+        # the estimate of _pays: every step over universe(3) runs inline, and
+        # the matrix, universe(4), spaces(5) and mlambda's left-class sweeps fork
+        u3, u4 = get_universe(3), get_universe(4)
+        two = [([SUBSET_ARCHETYPE_FWD], "l"), ([SUBSET_ARCHETYPE_BWD], "l")]
+        assert not _pays(u3.maps, two, range(len(u3)))
+        assert _pays(u3.maps, [([m], "r") for m in u3.maps], range(len(u3)))
+        assert _pays(u4.maps, [([EMPTY_TO_POINT], "l")], range(len(u4)))
+        spaces = [CMap(EMPTY, x, {}) for x in enumerate_spaces(5)]
+        assert _pays(spaces, [([M_TO_LAMBDA], "l")], range(len(spaces)))
+        left = relative_orthogonal([M_TO_LAMBDA], "l", 4).indices
+        assert len(left) == 846
+        assert _pays(u4.maps, [([sub(1)], "l"), ([sub(2)], "l")], left)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="pools need fork")
+    def test_pool_counts_say_which_steps_forked(self):
+        from ftop._parallel import POOL
+
+        def counted(word, n):
+            before = POOL.copy()
+            relative_orthogonal([parse_map("{}-->{o}")], word, n, jobs=2)
+            return {k: POOL[k] - before[k] for k in ("calls", "items", "forked")}
+
+        blocks = -(-len(get_universe(3)) // STEP_BLOCK)
+        assert counted("rll", 3) == {"calls": 3, "items": 3 * blocks, "forked": 0}
+        blocks = -(-len(get_universe(4)) // STEP_BLOCK)
+        assert counted("l", 4) == {"calls": 1, "items": blocks, "forked": 1}
 
 
 def check_kernel(kernel, i, g, prepared):
@@ -704,6 +779,7 @@ class TestLeftRows:
         for i, g in sampled_pairs(3, 2000):
             check_kernel(_lifts_left, i, g, prepared)
 
+    @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
         u = get_universe(3)
@@ -728,6 +804,7 @@ class TestLeftRows:
         assert holds is False
         assert peak < 1 << 20
 
+    @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_prepared_members_die_with_the_step(self, jobs, monkeypatch):
         # the workers prepare the members of a forked step, so the parent's
@@ -763,6 +840,7 @@ class TestRightRows:
         for i, g in sampled_pairs(3, 2000):
             check_kernel(_lifts_right, i, g, prepared)
 
+    @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
         u = get_universe(3)

@@ -184,11 +184,12 @@ def test_benchmark_tracer_binds_to_the_package(tmp_path):
         return end[name] - start[name]
 
     # each lifts_bool fills its one square through _fill_tuple and
-    # first_solution; _squares reads the enumeration memo, not enum_hom
+    # first_solution; _squares takes its phis from enum_hom, once per call,
+    # and reads the enumeration memo of (A, Y) for the f
     assert delta("lifting.lifts_bool.calls", before, swept) == 2
     assert delta("lifting.squares", before, swept) == 2
     assert delta("solve.first_solution.calls", before, swept) == 2
-    assert delta("solve.enum_hom.calls", before, swept) == 0
+    assert delta("solve.enum_hom.calls", before, swept) == 2
     # the direct calls: first_solution once, and once more under fill
     assert delta("solve.first_solution.calls", swept, metrics) == 2
     assert delta("solve.enum_hom.calls", swept, metrics) == 1
@@ -208,6 +209,7 @@ tracer.install()
 from ftop import lifting
 from ftop.parser import parse_map
 from ftop.universe import get_universe
+lifting.POOL_MIN_WORK = 0  # the n=3 steps fork at jobs=2, as larger ones do
 get_universe(3)
 runs = []
 for jobs in (1, 2):
@@ -248,7 +250,9 @@ def test_parser_has_one_tokenizer_and_no_parser_objects():
 _SERIAL = """
 import sys
 import ftop, ftop.cli
+from ftop import lifting
 from ftop.lifting import lifts, relative_orthogonal
+lifting.POOL_MIN_WORK = 0  # the n=3 step forks at jobs=2, as larger ones do
 from ftop.parser import parse_map
 from ftop.registry import M_TO_LAMBDA, OPEN_POINT_INCL
 lifts(OPEN_POINT_INCL, M_TO_LAMBDA)

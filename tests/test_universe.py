@@ -17,6 +17,7 @@ from ftop.registry import EMPTY_TO_POINT, M_TO_LAMBDA
 from ftop.space import CMap, Space, sub
 from ftop.universe import (
     Universe,
+    _enc_bits,
     automorphisms,
     canonical_space,
     enumerate_maps,
@@ -129,6 +130,13 @@ class TestSpaceEnumeration:
         spaces = enumerate_spaces(4)
         keys = [space_key(s) for s in spaces]
         assert len(keys) == len(set(keys))
+
+    def test_catalog_spaces_are_keyed_by_their_own_encoding(self):
+        # Universe indexes its spaces by their own encoding instead of
+        # space_key's scan: every catalog space is canonically labeled
+        for s in enumerate_spaces(5):
+            n = len(s.points)
+            assert space_key(s) == (n, _enc_bits(n, s.up, range(n)))
 
     def test_catalog_spaces_satisfy_invariants(self):
         for s in enumerate_spaces(4):

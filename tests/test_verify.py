@@ -132,6 +132,7 @@ class TestReportShape:
             assert c.claim_id in text
         assert text.endswith("OK")
 
+    @pytest.mark.usefixtures("forked_steps")
     def test_jobs_do_not_change_results(self):
         def strip(r):
             return [
