@@ -32,7 +32,7 @@ from .space import (
 )
 from .universe import _artifact, _canon, _inverse, automorphisms, get_universe
 
-MATRIX_MAX_N = 3  # largest bound for multi-letter words and the pairwise lifting matrix
+MATRIX_MAX_N = 3  # largest bound for the pairwise lifting matrix
 STEP_BLOCK = 64  # positions per work item of a _step
 # the estimated work of a _step (see _pays) from which forking two cold workers
 # pays; below it the step runs in this process: every step over universe(3)
@@ -138,7 +138,6 @@ def lifts_bool(i: CMap, g: CMap) -> bool:
     return _walk(i, g, None) is None
 
 
-_PREPARED: dict = {}  # the tables of _keep's rows, per member; _step empties it
 DECISIONS: Counter = Counter()  # lifting decisions made by _step's rows, per letter
 
 
@@ -147,67 +146,67 @@ def _restrictor(pts: Sequence[int]):
     return itemgetter(*pts) if len(pts) > 1 else lambda t: tuple([t[p] for p in pts])
 
 
-def _lifts_left(i: CMap, g: CMap, prepared: dict) -> bool:
-    """Decide i ⧄ g by counting squares, for a member g prepared per ``_step``.
+def _lifts_left(i: CMap, g: CMap, tables: dict) -> bool:
+    """Decide i ⧄ g by counting squares, for a member g of one ``_step``.
     The squares over phi: X -> B are the f: A -> Y over phi∘i, the fillable
     ones the distinct h∘i over the lifts h of phi.  That number depends on
-    i only through its image S; ``prepared`` keeps its least value per
+    i only through its image S; ``tables`` keeps its least value per
     (g, X, S) and restriction of phi's fibers to S, unless those are points
     and phi lifts: then at most one f, and a lift, lie over phi∘i.
     The f are counted by a search that stops one past it; per (A, Y) only
-    integers are kept: a count, or minus a lower bound."""
+    integers are kept: a count, or minus a lower bound.  ``tables`` is keyed
+    by the ids of the maps it was filled for and of their spaces, so it may
+    not outlive those maps."""
     A, X, Y, it = i.src, i.dst, g.src, i.as_tuple()
-    got = prepared.get(("l", id(g), id(X)))
-    if got is None:  # g and X kept, so the ids stay theirs
+    got = tables.get(("l", id(g), id(X)))
+    if got is None:
         fib, gt, lifts = _fibers(g), g.as_tuple(), {}
         for h in hom(X, Y):
             lifts.setdefault(tuple([gt[y] for y in h]), []).append(h)
-        got = prepared["l", id(g), id(X)] = (g, X, {}, [
+        got = tables["l", id(g), id(X)] = ({}, [
             (tuple([fib[b] for b in phi]), lifts.get(phi, ())) for phi in hom(X, g.dst)])
-    rows = got[2].get(img := frozenset(it))
+    rows = got[0].get(img := frozenset(it))
     if rows is None:
         least, part = {}, _restrictor(sorted(img))
-        for over, hs in got[3]:
+        for over, hs in got[1]:
             if 0 not in (on := part(over)):  # else no f lies over phi∘i
                 n = len(set(map(part, hs)))
                 least[on] = min((n, over), least.get(on, (n, over)))
-        rows = got[2][img] = sorted(least[on] for on in least
+        rows = got[0][img] = sorted(least[on] for on in least
                                     if least[on][0] == 0 or any(m & (m - 1) for m in on))
-    counts = prepared.setdefault(("n", id(A), id(Y)), (A, Y, {}))  # A, Y kept: ids stay theirs
+    counts = tables.setdefault(("n", id(A), id(Y)), {})
     for bound, over in rows:
         cand = tuple(map(over.__getitem__, it))
-        n = counts[2].get(cand)
+        n = counts.get(cand)
         if n is None or 0 < -n <= bound:  # unknown, or a lower bound too small to decide
             n = sum(1 for _ in islice(_search(A, Y, cand, tuple(range(len(it)))), bound + 1))
-            counts[2][cand] = n if n <= bound else -n
+            counts[cand] = n if n <= bound else -n
         if abs(n) > bound:
             return False
     return True
 
 
-def _lifts_right(i: CMap, g: CMap, prepared: dict) -> bool:
-    """Decide i ⧄ g by counting squares, for a member i prepared per ``_step``.
+def _lifts_right(i: CMap, g: CMap, tables: dict) -> bool:
+    """Decide i ⧄ g by counting squares, for a member i of one ``_step``.
     The squares with f: A -> Y are the phis with phi∘i = g∘f, the fillable
-    ones the distinct g∘h over the h with h∘i = f.  ``prepared`` keeps, per
+    ones the distinct g∘h over the h with h∘i = f.  ``tables`` keeps, per
     (X, i's index tuple), the phis counted by phi∘i per B and the h grouped
-    by h∘i per Y.  One pass over hom(A, Y) stops at the first f with too few."""
+    by h∘i per Y.  One pass over hom(A, Y) stops at the first f with too
+    few.  ``tables`` is keyed by the ids of the spaces of the maps it was
+    filled for, so it may not outlive those maps."""
     A, X, Y, B, it, gt = i.src, i.dst, g.src, g.dst, i.as_tuple(), g.as_tuple()
-    phis = prepared.get(("r", id(X), id(B), it))
-    if phis is None:  # i and B kept, so the ids stay theirs
-        phis = prepared["r", id(X), id(B), it] = (i, B, Counter(map(_restrictor(it), hom(X, B))))
-    groups = prepared.get(("h", id(X), id(Y), it))
+    phis = tables.get(("r", id(X), id(B), it))
+    if phis is None:
+        phis = tables["r", id(X), id(B), it] = Counter(map(_restrictor(it), hom(X, B)))
+    groups = tables.get(("h", id(X), id(Y), it))
     if groups is None:
-        groups, part = prepared.setdefault(("h", id(X), id(Y), it), (i, Y, {})), _restrictor(it)
+        groups, part = tables.setdefault(("h", id(X), id(Y), it), {}), _restrictor(it)
         for h in hom(X, Y):
-            groups[2].setdefault(part(h), []).append(h)
-    got = prepared.get(("f", id(A), id(Y)))  # hom(A, Y), once its memo entry is complete
-    fs = got[2] if got else enum_hom(A, Y)
-    if got is None and isinstance(fs, tuple):
-        prepared["f", id(A), id(Y)] = (A, Y, fs)
-    for f in fs:
-        n = phis[2].get(tuple([gt[y] for y in f]))
+            groups.setdefault(part(h), []).append(h)
+    for f in enum_hom(A, Y):
+        n = phis.get(tuple([gt[y] for y in f]))
         if n is not None:
-            hs = groups[2].get(f, ())
+            hs = groups.get(f, ())
             if n > len(hs) or n > 1 and n > len({tuple([gt[y] for y in h]) for h in hs}):
                 return False
     return True
@@ -333,81 +332,77 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
         return rows if _matrix_ok(u, rows) else None
 
     return _artifact(f"matrix_n{n}", decode,
-                     lambda: _step(u.maps, [([m], "r") for m in u.maps], jobs),
+                     lambda: [sum(1 << j for j in row)
+                              for row in _step(u.maps, [([m], "r") for m in u.maps], jobs)],
                      lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
-def _keep(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> tuple[list, Counter]:
-    """Per row (members, letter), the bitmask over the positions p of ``ks``
-    of the maps ``maps[ks[p]]`` that lift against every member (letter "l")
-    or that every member lifts against (letter "r").  A row (members,
-    letter, predicate) instead sets the bits of the maps whose verdict
-    disagrees with ``predicate(map)``.
+def _keep(maps: Sequence[CMap], rows: Sequence[tuple], tables: dict,
+          ks: Sequence[int]) -> tuple[list, Counter]:
+    """Per row (members, letter), the k of ``ks`` whose map ``maps[k]``
+    lifts against every member (letter "l") or that every member lifts
+    against (letter "r"), in ``ks`` order.  A row (members, letter,
+    predicate) instead keeps the k whose verdict disagrees with
+    ``predicate(maps[k])``.  The members are no isomorphisms (``_step``
+    drops those).
 
-    Isomorphisms lift both ways against every map, so they are skipped as
-    members and kept as candidates without a search.  A candidate's test
-    stops at the first refuting member, and each row tries first the member
-    that last refuted a candidate.  A row decides by counting squares,
-    ``_lifts_left`` or ``_lifts_right``, against its members as prepared in
-    ``_PREPARED`` by this process in the current ``_step``.  Returns the
-    masks and the number of decisions made per letter."""
-    orders = [[c for c in row[0] if not is_isomorphism(c)] for row in rows]
-    masks, made = [0] * len(rows), Counter()
-    for p, k in enumerate(ks):
+    Isomorphisms lift both ways against every map, so they are kept as
+    candidates without a search.  A candidate's test stops at the first
+    refuting member, and each row tries first the member that last refuted
+    a candidate.  A row decides by counting squares, ``_lifts_left`` or
+    ``_lifts_right``, against its members, reading and filling ``tables``.
+    Returns the kept k per row and the number of decisions made per letter."""
+    orders = [list(row[0]) for row in rows]
+    kept, made = [[] for _ in rows], Counter()
+    for k in ks:
         m = maps[k]
         iso = is_isomorphism(m)
         for r, (order, (_, letter, *pred)) in enumerate(zip(orders, rows)):
             lifted = True
             for pos, c in enumerate(() if iso else order):
                 made[letter] += 1
-                if not (_lifts_left(m, c, _PREPARED) if letter == "l"
-                        else _lifts_right(c, m, _PREPARED)):
+                if not (_lifts_left(m, c, tables) if letter == "l"
+                        else _lifts_right(c, m, tables)):
                     order.insert(0, order.pop(pos))
                     lifted = False
                     break
             if lifted != (bool(pred) and pred[0](m)):
-                masks[r] |= 1 << p
-    return masks, made
+                kept[r].append(k)
+    return kept, made
 
 
 def _pays(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> bool:
     """Whether a step's estimated work, rows x candidates x 8^(the largest
     point count of a candidate's ends), reaches ``POOL_MIN_WORK``: each
-    worker prepares the rows' members again, and at n=3 that preparing is
-    most of a step."""
+    worker fills the rows' tables again, and at n=3 that filling is most of
+    a step."""
     scale = len(rows) * len(ks)
     return any(scale << 3 * max(len(m.src.points), len(m.dst.points)) >= POOL_MIN_WORK
                for m in map(maps.__getitem__, ks))
 
 
 def _step(maps: Sequence[CMap], rows: Sequence[tuple], jobs: int,
-          ks: Optional[Sequence[int]] = None) -> list[int]:
-    """``_keep`` over ``ks`` (default: every map), in fixed blocks of
-    ``STEP_BLOCK`` positions, one pool for all rows if the step pays for it
-    (``_pays``), else in this process.  The orders of the members restart
-    in each block, so verdicts and the lifting decisions made are the same
-    for every ``jobs``; they are added to ``DECISIONS`` in this process.
-    The members of the rows are prepared by the process that sweeps them,
-    a worker or, inline, this one, and are dropped when the step ends.
+          ks: Optional[Sequence[int]] = None) -> list[tuple[int, ...]]:
+    """Per row, the tuple of the k in ``ks`` (default: every map) that
+    ``_keep`` keeps, in ``ks`` order.  The rows' isomorphic members are
+    dropped once; the k are swept in fixed blocks of ``STEP_BLOCK``, one
+    pool for all rows if the step pays for it (``_pays``), else in this
+    process.  The orders of the members restart in each block, so verdicts
+    and the lifting decisions made are the same for every ``jobs``; they
+    are added to ``DECISIONS`` in this process.  The step owns one dict of
+    the kernels' tables: inline it serves every block, a forked worker
+    fills its own copy, and it dies when the step returns, while ``maps``
+    and ``rows`` keep alive every object it is keyed by.
     This is the only caller of ``pmap``."""
     from ._parallel import pmap
 
     ks = range(len(maps)) if ks is None else ks
-    starts = range(0, len(ks), STEP_BLOCK)
-    try:
-        blocks = pmap(partial(_keep, maps, rows), [ks[s:s + STEP_BLOCK] for s in starts],
-                      jobs if _pays(maps, rows, ks) else 1)
-    finally:
-        _PREPARED.clear()  # filled only when the blocks ran in this process
+    rows = [([c for c in members if not is_isomorphism(c)], *rest) for members, *rest in rows]
+    blocks = pmap(partial(_keep, maps, rows, {}),
+                  [ks[s:s + STEP_BLOCK] for s in range(0, len(ks), STEP_BLOCK)],
+                  jobs if _pays(maps, rows, ks) else 1)
     DECISIONS.update(sum((made for _, made in blocks), Counter()))
-    return [sum(b[0][r] << s for s, b in zip(starts, blocks)) for r in range(len(rows))]
-
-
-def _bits(mask: int, size: int) -> str:
-    """The ``size`` low bits of a ``_step`` mask as '0'/'1' characters,
-    bit k at index k: one conversion, where testing ``(mask >> k) & 1`` for
-    each k shifts the whole integer every time."""
-    return format(mask, f"0{size}b")[::-1]
+    return [tuple(k for kept, _ in blocks for k in kept[r]) for r in range(len(rows))]
 
 
 def _words(base: tuple) -> tuple[dict, tuple]:
@@ -423,17 +418,15 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     The word is read left to right; at each letter the new class is the set of
     universe maps with the required lifting against every member of the
     current set.  Every letter is one ``_step``: the first against the base,
-    each later one against the current class.  Words of length >= 2 are
-    capped at n <= 3.  For a single-map base the class of every prefix is
-    kept in the memo of the base's space pair, so words sharing a prefix
-    share its steps, and the classes die with either space.
+    each later one against the current class, whose indices the step
+    returns.  For a single-map base the class of every prefix is kept in
+    the memo of the base's space pair, so words sharing a prefix share its
+    steps, and the classes die with either space.
     """
     if not word or set(word) - {"l", "r"}:
         raise ValueError("word must be a nonempty string over {l, r}")
     if n > 4:
         raise CapacityError(f"map universe sweep at n={n}")
-    if len(word) > 1 and n > MATRIX_MAX_N:
-        raise CapacityError(f"multi-letter orthogonal words at n={n} (max {MATRIX_MAX_N})")
     u = get_universe(n)
     base = tuple(base)
     memo, tag = _words(base)
@@ -442,8 +435,7 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
         key = (tag, word[:end], n)
         if key not in memo:
             members = base if cur is None else [u.map_at(k) for k in cur]
-            mask, = _step(u.maps, [(members, word[end - 1])], jobs)
-            memo[key] = tuple(k for k, b in enumerate(_bits(mask, len(u))) if b == "1")
+            memo[key], = _step(u.maps, [(members, word[end - 1])], jobs)
         cur = memo[key]
     return BoundedClass(base, word, n, cur, exact=(len(word) == 1))
 

@@ -17,7 +17,8 @@ Claims are data.  A suite's claims are its rows of the orthogonal ladder
 (``_LADDER``, or the ``_LEMMA21`` words of it), then its rows of ``_SWEEPS``
 ("lifting against an archetype = a predicate", swept over a universe), then
 its rows of ``_CHECKS`` (a named check function and its arguments), in table
-order.  One runner, ``_run_claims``, times every claim.
+order.  One runner, ``_run_claims``, times every claim and renders the
+offending maps or spaces it lists, at most ``MAX_LISTED`` of them.
 
 Every lifting sweep is rows of one ``lifting._step``: a ladder word's
 letters, or a suite's ``_SWEEPS`` rows over one subject, mlambda's
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Optional
 
-from .lifting import _bits, _step, factoring_maps, is_retract_of, relative_orthogonal
+from .lifting import _step, factoring_maps, is_retract_of, relative_orthogonal
 from .parser import render
 from .properties import (
     admits_section,
@@ -144,13 +145,13 @@ class _Run:
         self.suite = suite
         self.n = n
         self.jobs = jobs
-        self._sweeps: dict[str, tuple[int, dict[tuple, list[str]]]] = {}
+        self._sweeps: dict[str, tuple[int, dict[tuple, list]]] = {}
 
-    def sweep(self, subject: str) -> tuple[int, dict[tuple, list[str]]]:
+    def sweep(self, subject: str) -> tuple[int, dict[tuple, list]]:
         """The number of items of ``subject``, and per ``_SWEEPS`` row of the
-        suite, keyed (side, archetype, predicate), the rendered items whose
-        lifting disagrees with the predicate.  The rows are one ``_step``,
-        which also evaluates the predicates, in the workers."""
+        suite, keyed (side, archetype, predicate), the items whose lifting
+        disagrees with the predicate.  The rows are one ``_step``, which
+        also evaluates the predicates, in the workers."""
         got = self._sweeps.get(subject)
         if got is None:
             rows = [(side, arch, pred) for owner, _, _, side, arch, pred, subj in _SWEEPS
@@ -162,12 +163,10 @@ class _Run:
                 steps = [(members, side, partial(_of_dst, pred)) for members, side, pred in steps]
             else:  # the left class first: a bound over 4 fails before a build
                 ks = self.left if subject == "left-class maps" else None
-                maps = get_universe(self.n).maps
-                items = maps if ks is None else [maps[k] for k in ks]
-            masks = _step(maps, steps, self.jobs, ks)
-            bad = {row: [render(x) for x, b in zip(items, _bits(mask, len(items))) if b == "1"]
-                   for row, mask in zip(rows, masks)}
-            got = self._sweeps[subject] = (len(items), bad)
+                items = maps = get_universe(self.n).maps
+            kept = _step(maps, steps, self.jobs, ks)
+            got = self._sweeps[subject] = (len(items if ks is None else ks), {
+                row: [items[k] for k in row_kept] for row, row_kept in zip(rows, kept)})
         return got
 
     @cached_property
@@ -245,13 +244,12 @@ def _ladder(run: _Run, word: str, pred: Callable):
     in_class = set(cls.indices)
     missing = []
     extra = []
-    for k in range(len(u)):
-        m = u.map_at(k)
+    for k, m in enumerate(u.maps):
         p = pred(m)
         if p and k not in in_class:
-            missing.append(render(m))
+            missing.append(m)
         elif not p and k in in_class:
-            extra.append(render(m))
+            extra.append(m)
     if missing:
         return (
             "fail",
@@ -328,16 +326,12 @@ def _sweep(run: _Run, side: str, arch: CMap, pred: Callable, subject: str):
 
 def _closed_archetype(run: _Run, arch: CMap):
     ok = closed_map(arch)
-    return "pass" if ok else "fail", render(arch), [] if ok else [render(arch)]
+    return "pass" if ok else "fail", render(arch), [] if ok else [arch]
 
 
 def _two_routes(run: _Run):
     spaces = enumerate_spaces(run.n)
-    bad = [
-        render(x)
-        for x in spaces
-        if hereditarily_normal(x) != hereditarily_normal_by_separation(x)
-    ]
+    bad = [x for x in spaces if hereditarily_normal(x) != hereditarily_normal_by_separation(x)]
     return _verdict(bad, len(spaces), "spaces")
 
 
@@ -350,14 +344,14 @@ def _discrete_members(run: _Run, restrict: Optional[Callable]):
 def _discrete_claim(run: _Run, pred: Callable, restrict: Optional[Callable], subject: str):
     u = get_universe(run.n)
     eligible = _discrete_members(run, restrict)
-    bad = [render(u.map_at(k)) for k in eligible if not pred(u.map_at(k))]
+    bad = [m for m in map(u.map_at, eligible) if not pred(m)]
     return _verdict(bad, len(eligible), subject)
 
 
 def _closed_into_hn(run: _Run):
     u = get_universe(run.n)
     eligible = _discrete_members(run, hereditarily_normal)
-    bad = [render(u.map_at(k)) for k in eligible if not closed_map(u.map_at(k))]
+    bad = [m for m in map(u.map_at, eligible) if not closed_map(m)]
     if not bad:
         return "pass", f"0 counterexamples over {len(eligible)} maps", []
     return (
@@ -374,7 +368,7 @@ def _subdivisions(run: _Run):
     for k in range(1, 5):
         s = sub(k)  # construction already enforces monotonicity
         if not surjective(s) or not quotient_map(s):
-            bad.append(render(s))
+            bad.append(s)
     return _verdict(bad, 4, "subdivision maps")
 
 
@@ -405,7 +399,7 @@ def _factorization(run: _Run):
         f"bounded factorization found for {len(found)}/{len(u)} maps "
         "(exploration only: classes are bounded over-approximations and "
         "middle objects are capped)",
-        [render(u.map_at(k)) for k in range(len(u)) if k not in found],
+        [m for k, m in enumerate(u.maps) if k not in found],
     )
 
 
@@ -493,7 +487,7 @@ def _run_claims(suite: str, n: Optional[int], jobs: int) -> tuple[int, list[Clai
         start = time.perf_counter()
         status, detail, cxs = check(run, *args)
         claims.append(ClaimResult(
-            claim_id, anchor, status, detail, tuple(cxs[:MAX_LISTED]),
+            claim_id, anchor, status, detail, tuple(map(render, cxs[:MAX_LISTED])),
             time.perf_counter() - start,
         ))
     return n, claims

@@ -81,7 +81,7 @@ class TestOrthCommand:
         assert rc == 0
 
     def test_capacity_exit_3(self, capsys):
-        assert main(["orth", "-P", "{}-->{o}", "-w", "rr", "-n", "4"]) == 3
+        assert main(["orth", "-P", "{}-->{o}", "-w", "rr", "-n", "5"]) == 3
 
 
 class TestClassifyCommand:

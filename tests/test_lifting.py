@@ -503,7 +503,7 @@ class TestRelativeOrthogonal:
 
     def test_multi_letter_needs_small_n(self):
         with pytest.raises(CapacityError):
-            relative_orthogonal([EMPTY_TO_POINT], "rr", 4)
+            relative_orthogonal([EMPTY_TO_POINT], "rr", 5)
 
     def test_word_validation(self):
         with pytest.raises(ValueError):
@@ -595,6 +595,15 @@ class TestRelativeOrthogonal:
             got = relative_orthogonal(BASES[base], word, 2).indices
             assert got == matrix_word(BASES[base], word, 2, rows), word
 
+    def test_decisions_of_a_word_are_pinned(self):
+        # each row tries first the member that last refuted a map; without
+        # that move-to-front the l letters of rll make 6 559 decisions
+        import ftop.lifting as lifting
+
+        before = lifting.DECISIONS.copy()
+        relative_orthogonal([parse_map("{}-->{o}")], "rll", 3, jobs=1)
+        assert dict(lifting.DECISIONS - before) == {"l": 5600, "r": 647}
+
     def test_repeated_first_letter_is_not_swept_again(self):
         import ftop.lifting as lifting
 
@@ -622,9 +631,9 @@ class TestRelativeOrthogonal:
 
         calls = []
 
-        def counting(i, g, prepared):  # a left row's decisions
+        def counting(i, g, tables):  # a left row's decisions
             calls.append((i, g))
-            return _lifts_left(i, g, prepared)
+            return _lifts_left(i, g, tables)
 
         def bases():  # maps over fresh spaces, so no class is cached for them
             point, sierpinski = Space(["o"], []), Space(["o", "c"], [("o", "c")])
@@ -664,7 +673,7 @@ class TestRelativeOrthogonal:
         got = relative_orthogonal([M_TO_LAMBDA], "lr", 3, jobs=2).indices
         assert got == matrix_word([M_TO_LAMBDA], "lr", 3, rows)
 
-    @pytest.mark.parametrize("fault", ["sampled entry", "isomorphism row"])
+    @pytest.mark.parametrize("fault", ["sampled entry", "last sampled entry", "isomorphism row"])
     def test_matrix_file_failing_a_check_is_rebuilt(self, fault, monkeypatch):
         import ftop.lifting as lifting
         import ftop.universe as universe
@@ -676,8 +685,9 @@ class TestRelativeOrthogonal:
         sample = [(rng.randrange(len(u)), rng.randrange(len(u)))
                   for _ in range(lifting.MATRIX_SAMPLE)]
         bad = list(rows)
-        if fault == "sampled entry":
-            i, j = sample[0]
+        if fault != "isomorphism row":  # the first or the last entry of the sample
+            i, j = sample[0] if fault == "sampled entry" else sample[-1]
+            assert not is_isomorphism(u.map_at(i))  # else the row check sees it
             bad[i] ^= 1 << j
         else:  # a row the sample never reads, so only the row check sees it
             k = next(k for k, (si, di, _) in enumerate(u.iter_triples())
@@ -713,11 +723,12 @@ class TestStep:
         ]
         together = _step(u.maps, rows, jobs)
         assert together == [_step(u.maps, [row], jobs)[0] for row in rows]
-        assert 0 < together[1] < (1 << len(u)) - 1
-        # positions of ks, not universe indices; several blocks at n=3
+        assert all(list(kept) == sorted(set(kept)) for kept in together)
+        assert 0 < len(together[1]) < len(u)
+        # universe indices of the kept subset, in ks order; several blocks at n=3
         ks = tuple(range(1, len(u), 3))
         for full, part in zip(together, _step(u.maps, rows, jobs, ks=ks)):
-            assert part == sum(((full >> k) & 1) << p for p, k in enumerate(ks))
+            assert part == tuple(k for k in full if k in ks)
 
 
 class TestPool:
@@ -750,15 +761,15 @@ class TestPool:
         assert counted("l", 4) == {"calls": 1, "items": blocks, "forked": 1}
 
 
-def check_kernel(kernel, i, g, prepared):
-    """A sweep kernel against ``lifts_bool``, once with cold prepared state
-    and once with the state that earlier pairs left in ``prepared``; the
+def check_kernel(kernel, i, g, tables):
+    """A sweep kernel against ``lifts_bool``, once with empty tables
+    and once with the state that earlier pairs left in ``tables``; the
     enumeration memo of (A, Y) is emptied first, so a right row streams
     hom(A, Y) before it reads a complete memo entry."""
     holds = lifts_bool(i, g)
     _table(i.src, g.src, "enum").clear()
     assert kernel(i, g, {}) == holds, (i, g)
-    assert kernel(i, g, prepared) == holds, (i, g)
+    assert kernel(i, g, tables) == holds, (i, g)
 
 
 def sampled_pairs(n, count):
@@ -769,26 +780,26 @@ def sampled_pairs(n, count):
 
 class TestLeftRows:
     def test_every_pair_at_2_matches_lifts_bool(self):
-        maps, prepared = get_universe(2).maps, {}
+        maps, tables = get_universe(2).maps, {}
         for i in maps:
             for g in maps:
-                check_kernel(_lifts_left, i, g, prepared)
+                check_kernel(_lifts_left, i, g, tables)
 
     def test_sampled_pairs_at_3_match_lifts_bool(self):
-        prepared = {}
+        tables = {}
         for i, g in sampled_pairs(3, 2000):
-            check_kernel(_lifts_left, i, g, prepared)
+            check_kernel(_lifts_left, i, g, tables)
 
     @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
         u = get_universe(3)
         members = [u.map_at(k) for k in range(3, len(u), 41)]
-        mask, = _step(u.maps, [(members, "l")], jobs)
-        expect = sum(1 << k for k, m in enumerate(u.maps)
-                     if all(lifts_bool(m, c) for c in members))
-        assert mask == expect
-        assert 0 < mask < (1 << len(u)) - 1
+        kept, = _step(u.maps, [(members, "l")], jobs)
+        expect = tuple(k for k, m in enumerate(u.maps)
+                       if all(lifts_bool(m, c) for c in members))
+        assert kept == expect
+        assert 0 < len(kept) < len(u)
 
     def test_refuted_decision_stays_small(self):
         # as test_refuted_sweep_keeps_no_enumeration, through the kernel: the
@@ -807,54 +818,53 @@ class TestLeftRows:
     @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_prepared_members_die_with_the_step(self, jobs, monkeypatch):
-        # the workers prepare the members of a forked step, so the parent's
-        # state stays empty; an inline step empties it when it ends
+        # the step's tables dict is bound into the _keep partial: the workers
+        # of a forked step fill their own copies, so the parent's stays
+        # empty; an inline step fills it, and it dies when the step returns
         import ftop._parallel as parallel
-        import ftop.lifting as lifting
 
         real, seen = parallel.pmap, []
 
         def probe(fn, items, jobs):
             out = real(fn, items, jobs)
-            seen.append(len(lifting._PREPARED))
+            seen.append(len(fn.args[2]))
             return out
 
         monkeypatch.setattr(parallel, "pmap", probe)
         member = parse_map("{left_a<-left_u->left_b}-->{left_a=left_u->left_b}")
         _step(get_universe(3).maps, [([member], "l")], jobs)
         assert (seen[0] == 0) == (jobs == 2)
-        assert lifting._PREPARED == {}
         del member
         assert spaces_alive("left_") == 0
 
 
 class TestRightRows:
     def test_every_pair_at_2_matches_lifts_bool(self):
-        maps, prepared = get_universe(2).maps, {}
+        maps, tables = get_universe(2).maps, {}
         for i in maps:
             for g in maps:
-                check_kernel(_lifts_right, i, g, prepared)
+                check_kernel(_lifts_right, i, g, tables)
 
     def test_sampled_pairs_at_3_match_lifts_bool(self):
-        prepared = {}
+        tables = {}
         for i, g in sampled_pairs(3, 2000):
-            check_kernel(_lifts_right, i, g, prepared)
+            check_kernel(_lifts_right, i, g, tables)
 
     @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
         u = get_universe(3)
         members = [u.map_at(k) for k in range(3, len(u), 41)]
-        mask, = _step(u.maps, [(members, "r")], jobs)
-        expect = sum(1 << k for k, m in enumerate(u.maps)
-                     if all(lifts_bool(c, m) for c in members))
-        assert mask == expect
-        assert 0 < mask < (1 << len(u)) - 1
+        kept, = _step(u.maps, [(members, "r")], jobs)
+        expect = tuple(k for k, m in enumerate(u.maps)
+                       if all(lifts_bool(c, m) for c in members))
+        assert kept == expect
+        assert 0 < len(kept) < len(u)
 
     def test_refuted_decision_against_a_large_member_stays_small(self):
         # the member's domain has 9 points, so hom(A, Y) has 4**9 maps; the
         # pass over it streams and stops at the first f without enough
-        # fillers, and the prepared groups hold the 4**5 maps of hom(X, Y)
+        # fillers, and the tables group the 4**5 maps of hom(X, Y)
         f = sub(2)
         g = parse_map("{a<->b<->c<->d}-->{a=b=c=d}")
         tracemalloc.start()

@@ -49,7 +49,17 @@ def test_pmap_is_called_only_by_the_lifting_step():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pmap"
     ]
-    assert calls == [("lifting.py", "_step", "partial(_keep, maps, rows)")]
+    assert calls == [("lifting.py", "_step", "partial(_keep, maps, rows, {})")]
+
+
+def test_lifting_keeps_no_step_state_in_module_globals():
+    # a step's tables live in a dict the step owns and drops, so the only
+    # module-level container of lifting.py is the decision counter
+    from ftop import lifting
+
+    found = {name for name, value in vars(lifting).items()
+             if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+    assert found == {"DECISIONS"}
 
 
 def test_only_parallel_forks_and_nothing_imports_multiprocessing():

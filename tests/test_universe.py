@@ -344,8 +344,8 @@ class TestDiskCache:
 
     # each fault keeps every other check passing, the count sum included
     @pytest.mark.parametrize("fault", [
-        "codes out of order", "code out of range", "count disagrees", "repeated key",
-        "key out of range", "empty block",
+        "codes out of order", "repeated code", "code out of range", "count disagrees",
+        "repeated key", "key out of range", "empty block",
     ])
     def test_faulty_map_block_is_rebuilt(self, fault, tmp_path, monkeypatch):
         monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
@@ -360,6 +360,10 @@ class TestDiskCache:
             block = next(b for b in bad if b[2] >= 2)
             codes = hex_codes(block[3])
             block[3] = code_hex([codes[1], codes[0]] + codes[2:])
+        elif fault == "repeated code":  # still in order, but not strictly
+            block = next(b for b in bad if b[2] >= 2)
+            codes = hex_codes(block[3])
+            block[3] = code_hex([codes[0], codes[0]] + codes[2:])
         elif fault == "code out of range":
             block = next(b for b in bad if size[b[0]] > 0)
             codes = hex_codes(block[3])
