@@ -9,9 +9,9 @@ checking), so a dead end shows as soon as a related point runs out of
 candidates, not only when the search reaches it: a linear extension may put
 every open point of a long zigzag before any closed one.  ``enum_hom``/``hom``
 search in point order; ``first_solution`` searches X's linear extension.
-Answers are memoized per space pair (``_table``) and die with either space.
-``enum_hom`` keeps an enumeration only once it has run to its end (``hom``
-reads the entry for all-ones masks); one abandoned part-way keeps nothing.
+Enumerations are memoized per space pair (``_table``) and die with either
+space.  ``enum_hom`` keeps one only once it has run to its end (``hom`` reads
+the entry for all-ones masks); one abandoned part-way keeps nothing.
 """
 from __future__ import annotations
 
@@ -136,11 +136,5 @@ def hom(X: Space, Y: Space) -> tuple[tuple[int, ...], ...]:
 
 def first_solution(X: Space, Y: Space, cand: Sequence[int]) -> tuple[int, ...] | None:
     """The least monotone assignment under candidate masks along X's linear
-    extension, or None (memoized per space pair on the masks' contents)."""
-    memo = _table(X, Y, "first")
-    key = tuple(cand)
-    try:
-        return memo[key]
-    except KeyError:
-        got = memo[key] = next(_search(X, Y, key, X.linear_extension()), None)
-        return got
+    extension, or None."""
+    return next(_search(X, Y, cand, X.linear_extension()), None)

@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-P", required=True, action="append", help="base maps, comma separated")
     p.add_argument("-w", required=True, help="word over {l,r}")
     p.add_argument("-n", type=int, required=True, help="universe bound")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=default_jobs())
 
     p = sub.add_parser("classify", help="evaluate the property record of a map")
     p.add_argument("map")
@@ -111,12 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-P", required=True, action="append")
     p.add_argument("-w", default="", help="word prefix over {l,r} (may be empty)")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=default_jobs())
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=list(SUITE_NAMES))
     p.add_argument("-n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=default_jobs())
     p.add_argument("--format", default="text", choices=["text", "json"])
 
     return ap
@@ -137,8 +137,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_orth(args) -> int:
-    jobs = default_jobs() if args.jobs is None else args.jobs
-    cls = relative_orthogonal(_base_maps(args.P), args.w, args.n, jobs=jobs)
+    cls = relative_orthogonal(_base_maps(args.P), args.w, args.n, jobs=args.jobs)
     if cls.exact:
         print(f"# exact class: word={cls.word!r} n={cls.n} members={len(cls.indices)}")
     else:
@@ -180,8 +179,7 @@ def _cmd_retract(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    jobs = default_jobs() if args.jobs is None else args.jobs
-    got = factor_search(_map_arg(args.f), _base_maps(args.P), args.w, args.n, jobs=jobs)
+    got = factor_search(_map_arg(args.f), _base_maps(args.P), args.w, args.n, jobs=args.jobs)
     if got is None:
         print("no bounded factorization found")
         return 1
@@ -194,8 +192,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = default_jobs() if args.jobs is None else args.jobs
-    report = run_suite(args.suite, n=args.n, jobs=jobs)
+    report = run_suite(args.suite, n=args.n, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:

@@ -7,7 +7,7 @@ enumerated in a fixed canonical order (phi lexicographic, then f), so failing
 certificates always report the least counterexample.  ``_squares`` is the
 one enumeration of squares, reading the solver's enumeration memo once per
 call; ``lifts`` and ``lifts_bool`` fill its squares in order, each through
-``first_solution``'s memo, and stop at the first unfillable one.  A sweep's
+``first_solution``, and stop at the first unfillable one.  A sweep's
 rows count squares instead: the fillable ones are the distinct (h∘i, g∘h) over
 h: X -> Y, and i lifts iff no group of squares, by phi in ``_lifts_left`` or
 by f in ``_lifts_right``, outnumbers its fillable ones.
@@ -242,8 +242,8 @@ class LiftCertificate:
         sq = self.counterexample
         if sq is None:
             return False
-        # a fresh search in point order: neither the memo entry that ``lifts``
-        # left for this square nor the linear-extension search that made it
+        # a fresh search in point order, not the linear-extension search of
+        # ``fill`` that found this square unfillable
         fib, X = _fibers(sq.g), sq.i.dst
         cand = _pinned([fib[b] for b in sq.phi.as_tuple()], zip(sq.i.as_tuple(), sq.f.as_tuple()))
         return next(_search(X, sq.g.src, cand, tuple(range(len(X.points)))), None) is None

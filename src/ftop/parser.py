@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .errors import MapError, ParseError
-from .space import _NAME, CMap, Space, _fresh, map_from_tuple
+from .space import _NAME, CMap, Space, _bits, _fresh, map_from_tuple
 
 # One alternation, tried in order at each position, so "-->" is read before
 # "->" and "<->" before "<-".  Whitespace matches nothing and is skipped by
@@ -163,105 +163,77 @@ def parse_map(text: str) -> CMap:
 # -- rendering ---------------------------------------------------------------
 
 
-def _scc_data(x: Space):
-    n = len(x.points)
-    mutual = [x.up[i] & x.down[i] for i in range(n)]
-    seen = set()
-    sccs: list[tuple[str, ...]] = []
-    scc_of: dict[int, int] = {}
-    for i in range(n):
-        if i in seen:
-            continue
-        members = [j for j in range(n) if (mutual[i] >> j) & 1]
-        for j in members:
-            seen.add(j)
-            scc_of[j] = len(sccs)
-        sccs.append(tuple(sorted(x.points[j] for j in members)))
-    return sccs, scc_of
+def _scc_data(x: Space) -> list[list[int]]:
+    """The indiscernibility classes as ascending index lists, numbered in
+    increasing order of their least index."""
+    classes = []
+    for i in range(len(x.points)):
+        mutual = x.up[i] & x.down[i]
+        if not mutual & ((1 << i) - 1):  # no earlier point is in i's class
+            classes.append(list(_bits(mutual)))
+    return classes
 
 
-def _hasse_edges(x: Space, sccs, scc_of) -> set[tuple[int, int]]:
-    n = len(sccs)
-    rep = {}
-    for i, p in enumerate(x.points):
-        rep.setdefault(scc_of[i], i)
+def _hasse_edges(x: Space, classes: list[list[int]]) -> set[tuple[int, int]]:
+    """The covers ``(a, b)``: class b lies below class a, with none between."""
+    n = len(classes)
     below = [
-        [b for b in range(n) if a != b and (x.up[rep[a]] >> rep[b]) & 1]
+        [b for b in range(n) if a != b and (x.up[classes[a][0]] >> classes[b][0]) & 1]
         for a in range(n)
     ]
-    edges = set()
-    for a in range(n):
-        for b in below[a]:
-            if not any(c != b and b in below[c] for c in below[a]):
-                edges.add((a, b))
-    return edges
+    return {(a, b) for a in range(n) for b in below[a]
+            if not any(c != b and b in below[c] for c in below[a])}
 
 
 def _render_space_text(x: Space, label=None) -> str:
+    """``label`` holds each point's text by index (default: its name).
+    Chains start at the least class left and step to the least neighbour,
+    "->" before "<-"; they are listed by their first class."""
     if not x.points:
         return "{}"
     if label is None:
-        label = {p: p for p in x.points}
-    sccs, scc_of = _scc_data(x)
-    edges = _hasse_edges(x, sccs, scc_of)
-    index = {p: k for k, p in enumerate(x.points)}
-
-    def node_key(s: int) -> int:
-        return min(index[p] for p in sccs[s])
+        label = x.points
+    classes = _scc_data(x)
+    uncovered = _hasse_edges(x, classes)
 
     def node_text(s: int) -> str:
-        return "<->".join(
-            label[p] for p in sorted(sccs[s], key=index.__getitem__)
-        )
+        return "<->".join(label[i] for i in classes[s])
 
-    uncovered = set(edges)
     visited = set()
     chains = []
     while uncovered:
-        loose = {e[0] for e in uncovered} | {e[1] for e in uncovered}
-        cur = min(loose, key=node_key)
+        cur = start = min(min(e) for e in uncovered)
         parts = [node_text(cur)]
-        start_key = node_key(cur)
         visited.add(cur)
         while True:
-            cands = []
-            for e in uncovered:
-                if e[0] == cur:
-                    cands.append((node_key(e[1]), 0, e, e[1], "->"))
-                elif e[1] == cur:
-                    cands.append((node_key(e[0]), 1, e, e[0], "<-"))
+            cands = [(e[1], 0, e, "->") for e in uncovered if e[0] == cur]
+            cands += [(e[0], 1, e, "<-") for e in uncovered if e[1] == cur]
             if not cands:
                 break
-            _, _, e, nxt, tok = min(cands)
+            nxt, _, e, tok = min(cands)
             uncovered.discard(e)
-            parts.append(tok)
-            parts.append(node_text(nxt))
+            parts += [tok, node_text(nxt)]
             visited.add(nxt)
             cur = nxt
-        chains.append((start_key, "".join(parts)))
-    for s in sorted(set(range(len(sccs))) - visited, key=node_key):
-        chains.append((node_key(s), node_text(s)))
+        chains.append((start, "".join(parts)))
+    chains += [(s, node_text(s)) for s in range(len(classes)) if s not in visited]
     chains.sort()
     return "{" + ",".join(text for _, text in chains) + "}"
 
 
 def _render_map_text(f: CMap) -> str:
-    src, dst = f.src, f.dst
-    assign = f.assign
-    moving = [p for p in src.points if p in dst and assign[p] != p]
-    if moving:
-        taken = set(src.points) | set(dst.points)
-        rename = {p: _fresh(p, taken) for p in moving}
-        newpts = [rename.get(p, p) for p in src.points]
-        newrel = [(rename.get(a, a), rename.get(b, b)) for a, b in src.rel]
-        src = Space(newpts, newrel)
-        assign = {rename.get(p, p): q for p, q in assign.items()}
-    extras = {y: [] for y in dst.points}
-    for p in src.points:
-        if assign[p] != p:
-            extras[assign[p]].append(p)
-    label = {y: "=".join([y] + sorted(extras[y])) for y in dst.points}
-    return _render_space_text(src) + "-->" + _render_space_text(dst, label)
+    """A domain name that also names a codomain point other than its image is
+    primed, in domain order, clear of the names of both spaces."""
+    src, dst, t = f.src, f.dst, f.as_tuple()
+    taken = set(src.points) | set(dst.points)
+    names = [_fresh(p, taken) if p in dst and dst.points[v] != p else p
+             for p, v in zip(src.points, t)]
+    extras = [[] for _ in dst.points]
+    for p, v in zip(names, t):
+        if p != dst.points[v]:
+            extras[v].append(p)
+    label = ["=".join([y] + sorted(e)) for y, e in zip(dst.points, extras)]
+    return _render_space_text(src, names) + "-->" + _render_space_text(dst, label)
 
 
 def render(obj: Space | CMap) -> str:

@@ -174,11 +174,6 @@ class _Run:
         """Universe indices of the bounded left class of the zigzag collapse."""
         return relative_orthogonal([M_TO_LAMBDA], "l", self.n, self.jobs).indices
 
-    @cached_property
-    def discrete_left(self) -> list[int]:
-        u = get_universe(self.n)
-        return [k for k in self.left if discrete(u.map_at(k).src)]
-
 
 # -- orthogonal ladders ---------------------------------------------------------
 
@@ -335,32 +330,18 @@ def _two_routes(run: _Run):
     return _verdict(bad, len(spaces), "spaces")
 
 
-def _discrete_members(run: _Run, restrict: Optional[Callable]):
-    """Discrete-domain left-class members whose codomain passes ``restrict``."""
+def _discrete_claim(run: _Run, pred: Callable, restrict: Optional[Callable], subject: str,
+                    caveat: Optional[str] = None):
+    """``pred`` on the discrete-domain left-class members whose codomain
+    passes ``restrict``.  With ``caveat``, a failure is a caveat whose detail
+    is ``caveat`` filled with the failures and the members counted."""
     u = get_universe(run.n)
-    return [k for k in run.discrete_left if restrict is None or restrict(u.map_at(k).dst)]
-
-
-def _discrete_claim(run: _Run, pred: Callable, restrict: Optional[Callable], subject: str):
-    u = get_universe(run.n)
-    eligible = _discrete_members(run, restrict)
-    bad = [m for m in map(u.map_at, eligible) if not pred(m)]
+    eligible = [m for m in map(u.map_at, run.left)
+                if discrete(m.src) and (restrict is None or restrict(m.dst))]
+    bad = [m for m in eligible if not pred(m)]
+    if caveat and bad:
+        return "caveat", caveat.format(len(bad), len(eligible)), bad
     return _verdict(bad, len(eligible), subject)
-
-
-def _closed_into_hn(run: _Run):
-    u = get_universe(run.n)
-    eligible = _discrete_members(run, hereditarily_normal)
-    bad = [m for m in map(u.map_at, eligible) if not closed_map(m)]
-    if not bad:
-        return "pass", f"0 counterexamples over {len(eligible)} maps", []
-    return (
-        "caveat",
-        f"{len(bad)} non-closed members over {len(eligible)} maps: the "
-        "closed-subset reading needs a T0 codomain at finite scale "
-        "(finite Hausdorff degenerates to discrete); see the T0 claim",
-        bad,
-    )
 
 
 def _subdivisions(run: _Run):
@@ -427,7 +408,10 @@ _CHECKS = (
      _discrete_claim, closed_map, t0, "discrete-domain maps into T0"),
     ("mlambda", "discrete_domain_members_into_hn_are_closed",
      "directional probe: with only hereditary normality downstairs "
-     "the closed-subset reading can fail off T0", _closed_into_hn),
+     "the closed-subset reading can fail off T0",
+     _discrete_claim, closed_map, hereditarily_normal, "maps",
+     "{} non-closed members over {} maps: the closed-subset reading needs a T0 "
+     "codomain at finite scale (finite Hausdorff degenerates to discrete); see the T0 claim"),
     ("subdivision", "subdivisions_are_surjective_quotients",
      "each subdivision map is a surjective quotient", _subdivisions),
     ("retract", "zigzag_to_point_retract_of_subdivision",

@@ -8,9 +8,11 @@ import pytest
 
 from ftop import errors
 from ftop.errors import FtopError, MapError, ParseError
+from ftop.lifting import monotone_maps
 from ftop.parser import _tokens, parse_map, parse_space, render
 from ftop.registry import INDISCRETE2, LAMBDA, M, SIERPINSKI, registry
-from ftop.space import CMap, Space, lam, map_from_tuple, sub
+from ftop.space import CMap, Space, _fresh, lam, map_from_tuple, sub
+from ftop.universe import enumerate_spaces, get_universe
 
 
 _ORACLE_NAME = re.compile(r"[A-Za-z0-9_']+")
@@ -460,6 +462,130 @@ class TestParseMap:
         assert len(f.dst.points) == 1
 
 
+# -- the name-keyed renderer the index-keyed one replaced, kept verbatim --------
+
+
+def oracle_scc_data(x: Space):
+    n = len(x.points)
+    mutual = [x.up[i] & x.down[i] for i in range(n)]
+    seen = set()
+    sccs: list[tuple[str, ...]] = []
+    scc_of: dict[int, int] = {}
+    for i in range(n):
+        if i in seen:
+            continue
+        members = [j for j in range(n) if (mutual[i] >> j) & 1]
+        for j in members:
+            seen.add(j)
+            scc_of[j] = len(sccs)
+        sccs.append(tuple(sorted(x.points[j] for j in members)))
+    return sccs, scc_of
+
+
+def oracle_hasse_edges(x: Space, sccs, scc_of) -> set[tuple[int, int]]:
+    n = len(sccs)
+    rep = {}
+    for i, p in enumerate(x.points):
+        rep.setdefault(scc_of[i], i)
+    below = [
+        [b for b in range(n) if a != b and (x.up[rep[a]] >> rep[b]) & 1]
+        for a in range(n)
+    ]
+    edges = set()
+    for a in range(n):
+        for b in below[a]:
+            if not any(c != b and b in below[c] for c in below[a]):
+                edges.add((a, b))
+    return edges
+
+
+def oracle_render_space_text(x: Space, label=None) -> str:
+    if not x.points:
+        return "{}"
+    if label is None:
+        label = {p: p for p in x.points}
+    sccs, scc_of = oracle_scc_data(x)
+    edges = oracle_hasse_edges(x, sccs, scc_of)
+    index = {p: k for k, p in enumerate(x.points)}
+
+    def node_key(s: int) -> int:
+        return min(index[p] for p in sccs[s])
+
+    def node_text(s: int) -> str:
+        return "<->".join(
+            label[p] for p in sorted(sccs[s], key=index.__getitem__)
+        )
+
+    uncovered = set(edges)
+    visited = set()
+    chains = []
+    while uncovered:
+        loose = {e[0] for e in uncovered} | {e[1] for e in uncovered}
+        cur = min(loose, key=node_key)
+        parts = [node_text(cur)]
+        start_key = node_key(cur)
+        visited.add(cur)
+        while True:
+            cands = []
+            for e in uncovered:
+                if e[0] == cur:
+                    cands.append((node_key(e[1]), 0, e, e[1], "->"))
+                elif e[1] == cur:
+                    cands.append((node_key(e[0]), 1, e, e[0], "<-"))
+            if not cands:
+                break
+            _, _, e, nxt, tok = min(cands)
+            uncovered.discard(e)
+            parts.append(tok)
+            parts.append(node_text(nxt))
+            visited.add(nxt)
+            cur = nxt
+        chains.append((start_key, "".join(parts)))
+    for s in sorted(set(range(len(sccs))) - visited, key=node_key):
+        chains.append((node_key(s), node_text(s)))
+    chains.sort()
+    return "{" + ",".join(text for _, text in chains) + "}"
+
+
+def oracle_render_map_text(f: CMap) -> str:
+    src, dst = f.src, f.dst
+    assign = f.assign
+    moving = [p for p in src.points if p in dst and assign[p] != p]
+    if moving:
+        taken = set(src.points) | set(dst.points)
+        rename = {p: _fresh(p, taken) for p in moving}
+        newpts = [rename.get(p, p) for p in src.points]
+        newrel = [(rename.get(a, a), rename.get(b, b)) for a, b in src.rel]
+        src = Space(newpts, newrel)
+        assign = {rename.get(p, p): q for p, q in assign.items()}
+    extras = {y: [] for y in dst.points}
+    for p in src.points:
+        if assign[p] != p:
+            extras[assign[p]].append(p)
+    label = {y: "=".join([y] + sorted(extras[y])) for y in dst.points}
+    return oracle_render_space_text(src) + "-->" + oracle_render_space_text(dst, label)
+
+
+def shared_name_maps(seed: int, count: int) -> list[CMap]:
+    """Random maps whose two spaces draw their point names from one pool, in
+    random orders, so domain points are often renamed by the renderer."""
+    rng = random.Random(seed)
+    pool = ["a", "b", "c", "d", "e", "a'", "b'"]
+
+    def space(n):
+        pts = rng.sample(pool, n)
+        return Space.from_arrows(
+            pts, [(x, y) for x in pts for y in pts if x != y and rng.random() < 0.3])
+
+    maps = []
+    while len(maps) < count:
+        x, y = space(rng.randint(0, 5)), space(rng.randint(1, 4))
+        homs = monotone_maps(x, y)
+        if homs:
+            maps.append(homs[rng.randrange(len(homs))])
+    return maps
+
+
 class TestRender:
     def test_spec_round_trips(self):
         assert render(parse_space("{o->c}")) == "{o->c}"
@@ -508,8 +634,6 @@ class TestRender:
     def test_random_maps_round_trip(self):
         # maps built from fresh disjoint names are always DSL-expressible
         rng = random.Random(0xF71)
-        from ftop.lifting import monotone_maps
-
         for _ in range(200):
             n = rng.randint(0, 4)
             m = rng.randint(1, 4)
@@ -538,3 +662,16 @@ class TestRender:
                 continue
             f = homs[rng.randrange(len(homs))]
             assert parse_map(render(f)) == f
+
+    def test_spaces_render_as_the_name_keyed_renderer_did(self):
+        # exact text, chain order included, which a round trip does not pin
+        spaces = list(enumerate_spaces(4)) + [lam(k) for k in range(1, 5)]
+        spaces += [Space.from_arrows(reversed(x.points), x.rel) for x in spaces]
+        for x in spaces:
+            assert render(x) == oracle_render_space_text(x), x
+
+    def test_maps_render_as_the_name_keyed_renderer_did(self):
+        maps = list(get_universe(3).maps) + [sub(k) for k in range(1, 5)]
+        maps += shared_name_maps(0xF72, 400)
+        for f in maps:
+            assert render(f) == oracle_render_map_text(f), f

@@ -255,6 +255,33 @@ def test_parser_has_one_tokenizer_and_no_parser_objects():
     assert len(compiles) == 1 and classes == []
 
 
+def test_solver_memos_are_the_enumerations_and_the_word_classes():
+    # a memo on a space pair is kept only where a test says what it holds and
+    # that it dies with its spaces; a new one must add its name here
+    names = {
+        ast.unparse(node.args[2])
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_table"
+    }
+    assert names and names <= {"'enum'", "'words'"}
+
+
+def test_renderer_builds_no_space():
+    # the renderer labels the given spaces' points by index, and builds no
+    # renamed copy of a space to print other names
+    tree = ast.parse((SRC / "parser.py").read_text())
+    calls = [
+        (fn.name, ast.unparse(node.func))
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_render_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    ]
+    assert {name for name, _ in calls} == {"_render_space_text", "_render_map_text"}
+    assert not [c for c in calls if c[1] in ("Space", "Space.from_arrows")]
+
+
 # imports the package and the CLI, then decides one lifting question, one
 # serial word step, which passes through pmap, and one forked word step
 _SERIAL = """
