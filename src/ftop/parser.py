@@ -187,8 +187,8 @@ def _hasse_edges(x: Space, classes: list[list[int]]) -> set[tuple[int, int]]:
 
 def _render_space_text(x: Space, label=None) -> str:
     """``label`` holds each point's text by index (default: its name).
-    Chains start at the least class left and step to the least neighbour,
-    "->" before "<-"; they are listed by their first class."""
+    Chains start at the least class left and step to the least neighbour
+    (two classes never cover each other); chains are listed by first class."""
     if not x.points:
         return "{}"
     if label is None:
@@ -206,11 +206,11 @@ def _render_space_text(x: Space, label=None) -> str:
         parts = [node_text(cur)]
         visited.add(cur)
         while True:
-            cands = [(e[1], 0, e, "->") for e in uncovered if e[0] == cur]
-            cands += [(e[0], 1, e, "<-") for e in uncovered if e[1] == cur]
+            cands = [(e[1], e, "->") for e in uncovered if e[0] == cur]
+            cands += [(e[0], e, "<-") for e in uncovered if e[1] == cur]
             if not cands:
                 break
-            nxt, _, e, tok = min(cands)
+            nxt, e, tok = min(cands)
             uncovered.discard(e)
             parts += [tok, node_text(nxt)]
             visited.add(nxt)

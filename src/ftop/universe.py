@@ -1,10 +1,10 @@
 """Exhaustive catalogs of finite spaces and monotone maps up to isomorphism.
 
 Spaces are enumerated as (poset of indiscernibility classes) x (class sizes).
-One permutation scan, ``_scan``, finds the minimal adjacency encoding of a
+One branch and bound, ``_scan``, finds the minimal adjacency encoding of a
 relation and every permutation achieving it; canonical keys, canonical
-labelings and automorphism groups all come from that one scan.  Maps between
-catalog spaces are reduced modulo independent domain/codomain automorphisms.
+labelings and automorphism groups all come from it.  Maps between catalog
+spaces are reduced modulo independent domain/codomain automorphisms.
 Catalogs are cached on disk keyed by bound and a digest of the package source.
 A universe stores its maps as blocks, one per (source, target) pair of
 catalog spaces: an array of the index tuples' base-|target| codes, in
@@ -154,16 +154,40 @@ def _enc_bits(n: int, up: Sequence[int], perm: Sequence[int]) -> int:
 
 def _scan(n: int, up: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Least encoding of the relation ``up`` over all relabelings, and every
-    permutation achieving it, in lexicographic order."""
-    best = None
-    args: list[tuple[int, ...]] = []
-    for perm in itertools.permutations(range(n)):
-        b = _enc_bits(n, up, perm)
-        if best is None or b < best:
-            best, args = b, [perm]
-        elif b == best:
-            args.append(perm)
-    return best or 0, tuple(args)
+    permutation achieving it, in lexicographic order.
+
+    Positions are filled from the top, as row n-1 is the most significant.
+    A state holds the points placed so far, from the top free position up,
+    and cells of the others, from the bottom.  A candidate q from the top
+    cell has its least row with its out-neighbours at the bottom of each
+    cell; only the least rows over all states survive a level, and placing q
+    splits each cell into (out-neighbours of q, the rest)."""
+    bits = 0
+    states = [((), [(1 << n) - 1] if n else [])]
+    for pos in range(n - 1, -1, -1):
+        least, kept = -1, []
+        for placed, cells in states:
+            top = cells[-1]
+            while top:
+                bit = top & -top
+                top ^= bit
+                q = bit.bit_length() - 1
+                out = up[q] & ~bit
+                row = lo = 0
+                for k, x in enumerate(placed, pos + 1):
+                    if (out >> x) & 1:
+                        row |= 1 << k
+                for c in cells:
+                    row |= ((1 << (out & c).bit_count()) - 1) << lo
+                    lo += c.bit_count()
+                if least < 0 or row < least:
+                    least, kept = row, []
+                if row == least:
+                    kept.append(((q,) + placed, [part for c in cells
+                                                 for part in (c & out, c & ~(out | bit)) if part]))
+        bits |= least << (pos * n)
+        states = kept
+    return bits, tuple(sorted(placed for placed, _ in states))
 
 
 def _inverse(perm: Sequence[int]) -> list[int]:
@@ -369,7 +393,7 @@ class Universe:
         self._block = {(si, di): (start, codes)
                        for (si, di, codes), start in zip(self.blocks, self._starts)}
         # a catalog space is canonically labeled, so its own encoding is its
-        # key: a load runs no n! scan of _canon per space
+        # key: a load canonizes no space
         self._space_index = {(size := len(s.points), _enc_bits(size, s.up, range(size))): k
                              for k, s in enumerate(self.spaces)}
 
@@ -417,25 +441,45 @@ class Universe:
         return start + j if j < len(codes) and codes[j] == c else None
 
 
+def _images(group: Sequence[Sequence[int]], nX: int, nY: int, codomain: bool) -> array:
+    """Each code of nX base-nY digits under each member g of ``group``, as
+    t∘g (or g∘t for a codomain group), code-major: for k members, the images
+    of code c are ``table[c * k:(c + 1) * k]``.  An image is a sum over the
+    digits, each adding its column's entry at that digit."""
+    w = [nY ** (nX - 1 - i) for i in range(nX)]
+    images = []
+    for g in group:
+        vals = [0]
+        for col in ([[g[d] * v for d in range(nY)] for v in w] if codomain
+                    else [[d * w[i] for d in range(nY)] for i in _inverse(g)]):
+            vals = [v + c for v in vals for c in col]
+        images.append(vals)
+    return array(_CODE, itertools.chain.from_iterable(zip(*images)))
+
+
 def _map_blocks(spaces: Sequence[Space]) -> list[tuple[int, int, array]]:
     """Per pair of spaces, the least member of each orbit of hom(X, Y) under
     Aut(X) x Aut(Y).  ``_search`` yields hom(X, Y) in increasing order, so
     the first member seen of an orbit is its least, and each block is packed
-    as it is enumerated."""
+    as it is enumerated.  The orbit of t is marked as the codomain images
+    b∘t' of its domain images t' = t∘a, read from tables of ``_images``."""
     auts = [automorphisms(s) for s in spaces]
+    images = lru_cache(maxsize=None)(_images)  # shared by equal groups, freed on return
     blocks = []
     for si, X in enumerate(spaces):
-        nX = len(X.points)
+        nX, kd = len(X.points), len(auts[si])
         order = tuple(range(nX))
         for di, Y in enumerate(spaces):
-            nY = len(Y.points)
+            nY, kc = len(Y.points), len(auts[di])
+            dom, cod = images(auts[si], nX, nY, False), images(auts[di], nX, nY, True)
             codes = array(_CODE)
-            seen: set[tuple[int, ...]] = set()  # one hom-set at a time
+            seen: set[int] = set()  # one hom-set at a time
             for t in _search(X, Y, ((1 << nY) - 1,) * nX, order):
-                if t not in seen:
-                    codes.append(_code(t, nY))
-                    # auts[di] is a group: it holds the inverse of each member
-                    seen.update(tuple(b[t[i]] for i in a) for a in auts[si] for b in auts[di])
+                c = _code(t, nY)
+                if c not in seen:
+                    codes.append(c)
+                    for image in dom[c * kd:c * kd + kd]:
+                        seen.update(cod[image * kc:image * kc + kc])
             if codes:
                 blocks.append((si, di, codes))
     return blocks

@@ -1,5 +1,5 @@
-"""The one backtracking kernel and the one permutation scan against
-brute-force oracles (seeded, stdlib only)."""
+"""The one backtracking kernel and the one canonizer against brute-force
+oracles (seeded, stdlib only)."""
 import gc
 import itertools
 import random
@@ -8,8 +8,8 @@ import weakref
 import pytest
 
 from ftop._solve import _search, _table, enum_hom, first_solution, hom
-from ftop.space import Space
-from ftop.universe import _posets, automorphisms, enumerate_spaces
+from ftop.space import Space, _close
+from ftop.universe import _enc_bits, _posets, _scan, automorphisms, enumerate_spaces
 
 
 def random_space(rng, n):
@@ -33,6 +33,32 @@ def brute_force(X, Y, cand, order):
         )
     ]
     return sorted(found, key=lambda t: tuple(t[i] for i in order))
+
+
+def oracle_scan(n, up):
+    """The least encoding of ``up`` and every permutation achieving it, by
+    trying all n! relabelings in lexicographic order."""
+    best = None
+    args = []
+    for perm in itertools.permutations(range(n)):
+        b = _enc_bits(n, up, perm)
+        if best is None or b < best:
+            best, args = b, [perm]
+        elif b == best:
+            args.append(perm)
+    return best or 0, tuple(args)
+
+
+def labeled_preorders(n):
+    """Every reflexive-transitive relation on n points, as up-set bitmasks."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for mask in range(1 << len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for bit, (i, j) in enumerate(pairs):
+            if (mask >> bit) & 1:
+                rows[i] |= 1 << j
+        if _close(n, rows[:]) == rows:
+            yield rows
 
 
 def brute_force_automorphisms(space):
@@ -84,7 +110,7 @@ class TestSearchKernel:
             assert first_solution(X, Y, cand) == (want[0] if want else None)
 
 
-class TestFillerMemo:
+class TestFirstSolution:
     def test_repeated_call_gives_the_same_answer(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -169,14 +195,31 @@ class TestEnumerationMemo:
         assert probe() is None
 
 
-class TestPermutationScan:
+class TestCanonizer:
+    @pytest.mark.parametrize("n, count", enumerate([1, 1, 4, 29, 355]))
+    def test_every_labeled_preorder_matches_the_permutation_scan(self, n, count):
+        # OEIS A000798: labeled preorders (topologies) on n points
+        found = list(labeled_preorders(n))
+        assert len(found) == count
+        for rows in found:
+            assert _scan(n, rows) == oracle_scan(n, rows)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_preorders_match_the_permutation_scan(self, n):
+        rng = random.Random(n)
+        for _ in range(100):
+            density = rng.random()
+            rows = _close(n, [sum(1 << j for j in range(n) if rng.random() < density / 2)
+                              for _ in range(n)])
+            assert _scan(n, rows) == oracle_scan(n, rows)
+
     def test_automorphisms_match_brute_force(self):
         for space in enumerate_spaces(4):
             # catalog spaces are canonically labeled; the reversed copy is not
             for sp in (space, Space(space.points[::-1], space.rel)):
                 assert automorphisms(sp) == brute_force_automorphisms(sp)
 
-    @pytest.mark.parametrize("k, count", enumerate([1, 1, 2, 5, 16, 63]))
+    @pytest.mark.parametrize("k, count", enumerate([1, 1, 2, 5, 16, 63, 318]))
     def test_poset_counts(self, k, count):
         # OEIS A000112: posets on k unlabeled points
         assert len(_posets(k)) == count

@@ -24,6 +24,19 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_permutation_scan_in_the_package():
+    # canonical forms come from universe._scan's branch and bound; trying
+    # every relabeling is the oracle's job, in tests/
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "permutations")
+        or (isinstance(node, ast.alias) and node.name == "permutations")
+    ]
+    assert found == []
+
+
 def test_cache_files_are_read_and_written_only_through_artifact():
     # every cached artifact gets the same load check: no loader of its own
     calls = []

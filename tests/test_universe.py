@@ -58,13 +58,13 @@ def orbit_triples(spaces):
     """The catalog's maps by the orbit scan over each hom-set: per pair of
     spaces, the least member of each orbit under Aut(X) x Aut(Y), sorted."""
     triples = []
+    auts = [automorphisms(s) for s in spaces]
     for si, x in enumerate(spaces):
         for di, y in enumerate(spaces):
             reps, seen = set(), set()
             for t in hom(x, y):
                 if t not in seen:
-                    orbit = {tuple(b[t[i]] for i in a)
-                             for a in automorphisms(x) for b in automorphisms(y)}
+                    orbit = {tuple(b[t[i]] for i in a) for a in auts[si] for b in auts[di]}
                     seen |= orbit
                     reps.add(min(orbit))
             triples += [(si, di, t) for t in sorted(reps)]
@@ -386,7 +386,7 @@ class TestDiskCache:
         assert uni.get_universe(3).blocks == built
         assert uni._load_cache("maps_n3") == good
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_decoded_catalog_is_the_orbit_scan_packed(self, n, tmp_path, monkeypatch):
         monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
         import ftop.universe as uni
