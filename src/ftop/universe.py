@@ -444,8 +444,8 @@ class Universe:
 def _images(group: Sequence[Sequence[int]], nX: int, nY: int, codomain: bool) -> array:
     """Each code of nX base-nY digits under each member g of ``group``, as
     t∘g (or g∘t for a codomain group), code-major: for k members, the images
-    of code c are ``table[c * k:(c + 1) * k]``.  An image is a sum over the
-    digits, each adding its column's entry at that digit."""
+    of code c are ``table[c * k:(c + 1) * k]``.  Images are built a digit
+    at a time: column i holds what each value of digit i adds."""
     w = [nY ** (nX - 1 - i) for i in range(nX)]
     images = []
     for g in group:

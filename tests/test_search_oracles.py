@@ -195,7 +195,10 @@ class TestEnumerationMemo:
         assert probe() is None
 
 
-class TestCanonizer:
+class TestPermutationScan:
+    """The canonizer ``_scan`` against the permutation scan it replaced, and
+    its outputs against brute force."""
+
     @pytest.mark.parametrize("n, count", enumerate([1, 1, 4, 29, 355]))
     def test_every_labeled_preorder_matches_the_permutation_scan(self, n, count):
         # OEIS A000798: labeled preorders (topologies) on n points
