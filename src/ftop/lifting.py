@@ -9,8 +9,10 @@ one enumeration of squares, reading the solver's enumeration memo once per
 call; ``lifts`` and ``lifts_bool`` fill its squares in order, each through
 ``first_solution``, and stop at the first unfillable one.  A sweep's
 rows count squares instead: the fillable ones are the distinct (h∘i, g∘h) over
-h: X -> Y, and i lifts iff no group of squares, by phi in ``_lifts_left`` or
-by f in ``_lifts_right``, outnumbers its fillable ones.
+h: X -> Y, and i lifts iff no group of squares, by phi in ``_left_decide`` or
+by f in ``_right_decide``, outnumbers its fillable ones.  A sweep runs over
+a universe's blocks: a member's kernel, its tables, is looked up once per run
+of candidates from one block, and each decision reads an index tuple.
 """
 from __future__ import annotations
 
@@ -28,9 +30,9 @@ from typing import Iterator, Optional, Sequence
 from ._solve import _recorded, _search, _table, enum_hom, first_solution, hom
 from .errors import CapacityError, MapError
 from .space import (
-    CMap, Space, _fibers, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
+    CMap, Space, _cmap, _fibers, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
 )
-from .universe import _artifact, _canon, _inverse, automorphisms, get_universe
+from .universe import Universe, _artifact, _canon, _inverse, automorphisms, get_universe
 
 MATRIX_MAX_N = 3  # largest bound for the pairwise lifting matrix
 STEP_BLOCK = 64  # positions per work item of a _step
@@ -146,8 +148,9 @@ def _restrictor(pts: Sequence[int]):
     return itemgetter(*pts) if len(pts) > 1 else lambda t: tuple([t[p] for p in pts])
 
 
-def _lifts_left(i: CMap, g: CMap, tables: dict) -> bool:
-    """Decide i ⧄ g by counting squares, for a member g of one ``_step``.
+def _left_kernel(g: CMap, A: Space, X: Space, tables: dict) -> tuple:
+    """The tables of the decisions i ⧄ g, for the maps i: A -> X against a
+    member g of one ``_step``, as ``_left_decide`` reads them.
     The squares over phi: X -> B are the f: A -> Y over phi∘i, the fillable
     ones the distinct h∘i over the lifts h of phi.  That number depends on
     i only through its image S; ``tables`` keeps its least value per
@@ -157,7 +160,7 @@ def _lifts_left(i: CMap, g: CMap, tables: dict) -> bool:
     integers are kept: a count, or minus a lower bound.  ``tables`` is keyed
     by the ids of the maps it was filled for and of their spaces, so it may
     not outlive those maps."""
-    A, X, Y, it = i.src, i.dst, g.src, i.as_tuple()
+    Y = g.src
     got = tables.get(("l", id(g), id(X)))
     if got is None:
         fib, gt, lifts = _fibers(g), g.as_tuple(), {}
@@ -165,16 +168,22 @@ def _lifts_left(i: CMap, g: CMap, tables: dict) -> bool:
             lifts.setdefault(tuple([gt[y] for y in h]), []).append(h)
         got = tables["l", id(g), id(X)] = ({}, [
             (tuple([fib[b] for b in phi]), lifts.get(phi, ())) for phi in hom(X, g.dst)])
-    rows = got[0].get(img := frozenset(it))
+    return A, Y, *got, tables.setdefault(("n", id(A), id(Y)), {})
+
+
+def _left_decide(kernel: tuple, it: tuple[int, ...]) -> bool:
+    """Whether the map with index tuple ``it`` lifts against the member of
+    ``kernel``, a ``_left_kernel``."""
+    A, Y, images, phis, counts = kernel
+    rows = images.get(img := frozenset(it))
     if rows is None:
         least, part = {}, _restrictor(sorted(img))
-        for over, hs in got[1]:
+        for over, hs in phis:
             if 0 not in (on := part(over)):  # else no f lies over phi∘i
                 n = len(set(map(part, hs)))
                 least[on] = min((n, over), least.get(on, (n, over)))
-        rows = got[0][img] = sorted(least[on] for on in least
+        rows = images[img] = sorted(least[on] for on in least
                                     if least[on][0] == 0 or any(m & (m - 1) for m in on))
-    counts = tables.setdefault(("n", id(A), id(Y)), {})
     for bound, over in rows:
         cand = tuple(map(over.__getitem__, it))
         n = counts.get(cand)
@@ -186,15 +195,17 @@ def _lifts_left(i: CMap, g: CMap, tables: dict) -> bool:
     return True
 
 
-def _lifts_right(i: CMap, g: CMap, tables: dict) -> bool:
-    """Decide i ⧄ g by counting squares, for a member i of one ``_step``.
+def _right_kernel(i: CMap, Y: Space, B: Space, tables: dict) -> tuple:
+    """The tables of the decisions i ⧄ g, for a member i: A -> X of one
+    ``_step`` against the maps g: Y -> B, as ``_right_decide`` reads them.
     The squares with f: A -> Y are the phis with phi∘i = g∘f, the fillable
     ones the distinct g∘h over the h with h∘i = f.  ``tables`` keeps, per
     (X, i's index tuple), the phis counted by phi∘i per B and the h grouped
-    by h∘i per Y.  One pass over hom(A, Y) stops at the first f with too
-    few.  ``tables`` is keyed by the ids of the spaces of the maps it was
-    filled for, so it may not outlive those maps."""
-    A, X, Y, B, it, gt = i.src, i.dst, g.src, g.dst, i.as_tuple(), g.as_tuple()
+    by h∘i per Y.  hom(A, Y) is taken from the enumeration memo if it is
+    there, else each decision streams it, so a pair no decision ran to its
+    end keeps nothing.  ``tables`` is keyed by the ids of the spaces of the
+    maps it was filled for, so it may not outlive those maps."""
+    A, X, it = i.src, i.dst, i.as_tuple()
     phis = tables.get(("r", id(X), id(B), it))
     if phis is None:
         phis = tables["r", id(X), id(B), it] = Counter(map(_restrictor(it), hom(X, B)))
@@ -203,13 +214,32 @@ def _lifts_right(i: CMap, g: CMap, tables: dict) -> bool:
         groups, part = tables.setdefault(("h", id(X), id(Y), it), {}), _restrictor(it)
         for h in hom(X, Y):
             groups.setdefault(part(h), []).append(h)
-    for f in enum_hom(A, Y):
+    fs = enum_hom(A, Y)  # the memo's tuple once complete, else an unstarted stream
+    return A, Y, fs if isinstance(fs, tuple) else None, phis, groups
+
+
+def _right_decide(kernel: tuple, gt: tuple[int, ...]) -> bool:
+    """Whether the member of ``kernel``, a ``_right_kernel``, lifts against
+    the map with index tuple ``gt``: one pass over hom(A, Y) stops at the
+    first f with more phis over g∘f than distinct g∘h."""
+    A, Y, fs, phis, groups = kernel
+    for f in enum_hom(A, Y) if fs is None else fs:
         n = phis.get(tuple([gt[y] for y in f]))
         if n is not None:
             hs = groups.get(f, ())
             if n > len(hs) or n > 1 and n > len({tuple([gt[y] for y in h]) for h in hs}):
                 return False
     return True
+
+
+def _lifts_left(i: CMap, g: CMap, tables: dict) -> bool:
+    """Decide i ⧄ g by counting squares: the left kernel for one map."""
+    return _left_decide(_left_kernel(g, i.src, i.dst, tables), i.as_tuple())
+
+
+def _lifts_right(i: CMap, g: CMap, tables: dict) -> bool:
+    """Decide i ⧄ g by counting squares: the right kernel for one map."""
+    return _right_decide(_right_kernel(i, g.src, g.dst, tables), g.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -333,74 +363,93 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
 
     return _artifact(f"matrix_n{n}", decode,
                      lambda: [sum(1 << j for j in row)
-                              for row in _step(u.maps, [([m], "r") for m in u.maps], jobs)],
+                              for row in _step(u, [([m], "r") for m in u.maps], jobs)],
                      lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
-def _keep(maps: Sequence[CMap], rows: Sequence[tuple], tables: dict,
+def _keep(u: Universe, rows: Sequence[tuple], tables: dict,
           ks: Sequence[int]) -> tuple[list, Counter]:
-    """Per row (members, letter), the k of ``ks`` whose map ``maps[k]``
+    """Per row (members, letter), the k of ``ks`` whose map ``u.map_at(k)``
     lifts against every member (letter "l") or that every member lifts
     against (letter "r"), in ``ks`` order.  A row (members, letter,
-    predicate) instead keeps the k whose verdict disagrees with
-    ``predicate(maps[k])``.  The members are no isomorphisms (``_step``
+    predicate) instead keeps the k whose verdict disagrees with the
+    predicate of the map.  The members are no isomorphisms (``_step``
     drops those).
 
-    Isomorphisms lift both ways against every map, so they are kept as
-    candidates without a search.  A candidate's test stops at the first
-    refuting member, and each row tries first the member that last refuted
-    a candidate.  A row decides by counting squares, ``_lifts_left`` or
-    ``_lifts_right``, against its members, reading and filling ``tables``.
+    The k are read as runs of one block of ``u`` (``Universe.runs``), so
+    every candidate of a run has the same spaces: per run a member's kernel,
+    ``_left_kernel`` or ``_right_kernel``, looks up its tables once, reading
+    and filling ``tables``, and ``_left_decide`` or ``_right_decide`` decides
+    each candidate on its index tuple.  Only an
+    endomorphism can be an isomorphism; those lift both ways against every
+    map, so they are kept as candidates without a search.  A candidate's
+    test stops at the first refuting member, and each row tries first the
+    member that last refuted a candidate; a row's order depends only on its
+    own candidates, so the rows are swept one after the other.  A map is
+    built (unchecked) only for the predicates.
     Returns the kept k per row and the number of decisions made per letter."""
-    orders = [list(row[0]) for row in rows]
-    kept, made = [[] for _ in rows], Counter()
-    for k in ks:
-        m = maps[k]
-        iso = is_isomorphism(m)
-        for r, (order, (_, letter, *pred)) in enumerate(zip(orders, rows)):
-            lifted = True
-            for pos, c in enumerate(() if iso else order):
-                made[letter] += 1
-                if not (_lifts_left(m, c, tables) if letter == "l"
-                        else _lifts_right(c, m, tables)):
-                    order.insert(0, order.pop(pos))
-                    lifted = False
-                    break
-            if lifted != (bool(pred) and pred[0](m)):
-                kept[r].append(k)
+    sp, preds = u.spaces, any(len(row) > 2 for row in rows)
+    runs = [(si, di, run, ts,
+             [si == di and is_isomorphism(_cmap(sp[si], sp[di], t)) for t in ts],
+             [_cmap(sp[si], sp[di], t) for t in ts] if preds else ())
+            for si, di, run, ts in u.runs(ks)]
+    kept, made = [], Counter()
+    for members, letter, *pred in rows:
+        kernel, decide = ((_left_kernel, _left_decide) if letter == "l"
+                          else (_right_kernel, _right_decide))
+        order, keep, tried = list(range(len(members))), [], 0
+        for si, di, run, ts, isos, cmaps in runs:
+            kernels = {}  # per member tried in the run
+            for p, t in enumerate(ts):
+                lifted = True
+                for pos, c in enumerate(() if isos[p] else order):
+                    tried += 1
+                    got = kernels.get(c)
+                    if got is None:
+                        got = kernels[c] = kernel(members[c], sp[si], sp[di], tables)
+                    if not decide(got, t):
+                        if pos:
+                            order.insert(0, order.pop(pos))
+                        lifted = False
+                        break
+                if lifted != (bool(pred) and pred[0](cmaps[p])):
+                    keep.append(run[p])
+        kept.append(keep)
+        made[letter] += tried
     return kept, made
 
 
-def _pays(maps: Sequence[CMap], rows: Sequence[tuple], ks: Sequence[int]) -> bool:
+def _pays(u: Universe, rows: Sequence[tuple], ks: Sequence[int]) -> bool:
     """Whether a step's estimated work, rows x candidates x 8^(the largest
     point count of a candidate's ends), reaches ``POOL_MIN_WORK``: each
     worker fills the rows' tables again, and at n=3 that filling is most of
     a step."""
-    scale = len(rows) * len(ks)
-    return any(scale << 3 * max(len(m.src.points), len(m.dst.points)) >= POOL_MIN_WORK
-               for m in map(maps.__getitem__, ks))
+    scale, size = len(rows) * len(ks), [len(s.points) for s in u.spaces]
+    return any(scale << 3 * max(size[si], size[di]) >= POOL_MIN_WORK
+               for (si, di, _), start, end in zip(u.blocks, u._starts, u._starts[1:])
+               if bisect_left(ks, start) < bisect_left(ks, end))  # a candidate in the block
 
 
-def _step(maps: Sequence[CMap], rows: Sequence[tuple], jobs: int,
+def _step(u: Universe, rows: Sequence[tuple], jobs: int,
           ks: Optional[Sequence[int]] = None) -> list[tuple[int, ...]]:
-    """Per row, the tuple of the k in ``ks`` (default: every map) that
-    ``_keep`` keeps, in ``ks`` order.  The rows' isomorphic members are
+    """Per row, the tuple of the k in ``ks``, increasing (default: every map
+    of ``u``), that ``_keep`` keeps.  The rows' isomorphic members are
     dropped once; the k are swept in fixed blocks of ``STEP_BLOCK``, one
     pool for all rows if the step pays for it (``_pays``), else in this
     process.  The orders of the members restart in each block, so verdicts
     and the lifting decisions made are the same for every ``jobs``; they
     are added to ``DECISIONS`` in this process.  The step owns one dict of
     the kernels' tables: inline it serves every block, a forked worker
-    fills its own copy, and it dies when the step returns, while ``maps``
-    and ``rows`` keep alive every object it is keyed by.
+    fills its own copy, and it dies when the step returns, while ``u`` and
+    ``rows`` keep alive every object it is keyed by.
     This is the only caller of ``pmap``."""
     from ._parallel import pmap
 
-    ks = range(len(maps)) if ks is None else ks
+    ks = range(len(u)) if ks is None else ks
     rows = [([c for c in members if not is_isomorphism(c)], *rest) for members, *rest in rows]
-    blocks = pmap(partial(_keep, maps, rows, {}),
+    blocks = pmap(partial(_keep, u, rows, {}),
                   [ks[s:s + STEP_BLOCK] for s in range(0, len(ks), STEP_BLOCK)],
-                  jobs if _pays(maps, rows, ks) else 1)
+                  jobs if _pays(u, rows, ks) else 1)
     DECISIONS.update(sum((made for _, made in blocks), Counter()))
     return [tuple(k for kept, _ in blocks for k in kept[r]) for r in range(len(rows))]
 
@@ -434,8 +483,8 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     for end in range(1, len(word) + 1):
         key = (tag, word[:end], n)
         if key not in memo:
-            members = base if cur is None else [u.map_at(k) for k in cur]
-            memo[key], = _step(u.maps, [(members, word[end - 1])], jobs)
+            members = base if cur is None else [u.maps[k] for k in cur]
+            memo[key], = _step(u, [(members, word[end - 1])], jobs)
         cur = memo[key]
     return BoundedClass(base, word, n, cur, exact=(len(word) == 1))
 

@@ -17,29 +17,34 @@ def injective(f: CMap) -> bool:
 
 
 def _image_mask(f: CMap, src_mask: int) -> int:
-    t = f.as_tuple()
     acc = 0
-    for i in _bits(src_mask):
-        acc |= 1 << t[i]
+    for i, v in enumerate(f.as_tuple()):
+        if src_mask >> i & 1:
+            acc |= 1 << v
     return acc
+
+
+def _rows_covered(t: tuple[int, ...], src_rows, dst_rows) -> bool:
+    """Whether f, with index tuple ``t``, maps each row of ``src_rows`` onto
+    a superset of the row of ``dst_rows`` at the image point."""
+    for row, v in zip(src_rows, t):
+        img = 0
+        for j, w in enumerate(t):
+            if row >> j & 1:
+                img |= 1 << w
+        if dst_rows[v] & ~img:
+            return False
+    return True
 
 
 def closed_map(f: CMap) -> bool:
     """Image of every closed set is closed (pointwise closure criterion)."""
-    src, dst, t = f.src, f.dst, f.as_tuple()
-    return all(
-        dst.up[t[i]] & ~_image_mask(f, src.up[i]) == 0
-        for i in range(len(src.points))
-    )
+    return _rows_covered(f.as_tuple(), f.src.up, f.dst.up)
 
 
 def open_map(f: CMap) -> bool:
     """Image of every open set is open (pointwise minimal-nbhd criterion)."""
-    src, dst, t = f.src, f.dst, f.as_tuple()
-    return all(
-        dst.down[t[i]] & ~_image_mask(f, src.down[i]) == 0
-        for i in range(len(src.points))
-    )
+    return _rows_covered(f.as_tuple(), f.src.down, f.dst.down)
 
 
 def dense_image(f: CMap) -> bool:
@@ -49,13 +54,15 @@ def dense_image(f: CMap) -> bool:
 
 def induced_topology(f: CMap) -> bool:
     """The domain relation is exactly the pullback of the codomain relation."""
-    src, dst, t = f.src, f.dst, f.as_tuple()
-    n = len(src.points)
-    return all(
-        ((src.up[i] >> j) & 1) == ((dst.up[t[i]] >> t[j]) & 1)
-        for i in range(n)
-        for j in range(n)
-    )
+    t, up = f.as_tuple(), f.dst.up
+    for row, v in zip(f.src.up, t):
+        above, pulled = up[v], 0
+        for j, w in enumerate(t):
+            if above >> w & 1:
+                pulled |= 1 << j
+        if pulled != row:
+            return False
+    return True
 
 
 def subset_inclusion(f: CMap) -> bool:
@@ -125,11 +132,11 @@ def closed_pair_extension(f: CMap) -> bool:
     the two images are disjoint downstairs and pull back exactly.  A closed
     set is the union of its points' closures and both conditions respect
     unions, so point closures suffice: cl f(x) pulls back to cl(x), and
-    disjoint cl(x), cl(y) have disjoint cl f(x), cl f(y)."""
-    t = f.as_tuple()
-    ext = [(f.src.up[x], f.dst.up[v]) for x, v in enumerate(t)]
-    if any(sum(1 << y for y, v in enumerate(t) if (d >> v) & 1) != c for c, d in ext):
+    disjoint cl(x), cl(y) have disjoint cl f(x), cl f(y).  Each cl f(x)
+    pulling back to cl(x) is f carrying the induced topology."""
+    if not induced_topology(f):
         return False
+    ext = [(c, f.dst.up[v]) for c, v in zip(f.src.up, f.as_tuple())]
     return not any(
         c1 & c2 == 0 and d1 & d2
         for a, (c1, d1) in enumerate(ext)
@@ -147,8 +154,9 @@ def _closed_masks(x: Space) -> list[int]:
 
 def _min_open(x: Space, mask: int) -> int:
     acc = 0
-    for i in _bits(mask):
-        acc |= x.down[i]
+    for i, row in enumerate(x.down):
+        if mask >> i & 1:
+            acc |= row
     return acc
 
 

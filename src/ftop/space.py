@@ -95,14 +95,13 @@ class Space:
 
     def _fill(self, pts: tuple[str, ...], index: dict[str, int], up: list[int]) -> None:
         """Set every slot from the points and their closed ``up`` rows."""
-        n = len(pts)
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
-        full = frozenset(
-            (pts[i], pts[j]) for i in range(n) for j in _bits(up[i])
-        )
+        down, rel = [0] * len(pts), []
+        for i, row in enumerate(up):
+            for j, q in enumerate(pts):
+                if row >> j & 1:
+                    down[j] |= 1 << i
+                    rel.append((pts[i], q))
+        full = frozenset(rel)
         _setattr(self, "points", pts)
         _setattr(self, "rel", full)
         _setattr(self, "_pset", frozenset(pts))
@@ -179,8 +178,9 @@ class Space:
 
     def closure_mask(self, mask: int) -> int:
         acc = 0
-        for i in _bits(mask):
-            acc |= self.up[i]
+        for i, row in enumerate(self.up):
+            if mask >> i & 1:
+                acc |= row
         return acc
 
     def closure(self, subset: Iterable[str]) -> frozenset[str]:

@@ -9,8 +9,9 @@ Catalogs are cached on disk keyed by bound and a digest of the package source.
 A universe stores its maps as blocks, one per (source, target) pair of
 catalog spaces: an array of the index tuples' base-|target| codes, in
 increasing order, on disk as hex.  A cached table of digit tuples decodes a
-code, so loading builds no object per map; each catalog map is built once per
-process, on first use of ``Universe.maps``, and a map is looked up by
+code, so loading builds no object per map, and a sweep reads index tuples by
+runs of one block (``Universe.runs``); ``Universe.map_at`` builds one map,
+``Universe.maps`` every map once per process, and a map is looked up by
 bisecting its block.
 """
 from __future__ import annotations
@@ -236,8 +237,11 @@ def canonical_space(space: Space) -> Space:
 
 
 def automorphisms(space: Space) -> tuple[tuple[int, ...], ...]:
-    """All relation-preserving permutations of the point indices, sorted."""
-    return _auts(_canon(space)[1])
+    """All relation-preserving permutations of the point indices, sorted (cached)."""
+    got = space._lazy.get("auts")
+    if got is None:
+        got = space._lazy["auts"] = _auts(_canon(space)[1])
+    return got
 
 
 def map_key(f: CMap) -> tuple[int, int, int, int, tuple[int, ...]]:
@@ -385,7 +389,8 @@ class Universe:
     increasing.  Map k is code ``k - s`` of the block whose maps start at
     index s."""
 
-    def __init__(self, n: int, spaces: Sequence[Space], blocks: Iterable[tuple[int, int, array]]):
+    def __init__(self, n: int, spaces: Sequence[Space],
+                 blocks: Iterable[tuple[int, int, Sequence[int]]]):
         self.n = n
         self.spaces = tuple(spaces)
         self.blocks = tuple(blocks)
@@ -410,22 +415,32 @@ class Universe:
         si, di, codes = self.blocks[b]
         return si, di, self._table(si, di)[codes[k - self._starts[b]]]
 
-    def iter_triples(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """Every map as ``triple`` gives it, in index order."""
-        for si, di, codes in self.blocks:
-            table = self._table(si, di)
-            for c in codes:
-                yield si, di, table[c]
+    def runs(self, ks: Iterable[int]) -> list[tuple[int, int, list[int], list[tuple[int, ...]]]]:
+        """The maps at the indices ``ks``, in ``ks`` order, as maximal runs
+        from one block: (source index, target index, indices, index tuples)."""
+        out, start, end = [], 0, 0
+        for k in ks:
+            if not start <= k < end:
+                b = bisect.bisect_right(self._starts, k) - 1
+                start, end = self._starts[b], self._starts[b + 1]
+                si, di, codes = self.blocks[b]
+                table, run = self._table(si, di), (si, di, [], [])
+                out.append(run)
+            run[2].append(k)
+            run[3].append(table[codes[k - start]])
+        return out
 
     @cached_property
     def maps(self) -> tuple[CMap, ...]:
-        """Every catalog map, built on first use.  A sweep reads this in the
-        parent, so pool workers inherit the maps instead of building them."""
+        """Every catalog map, built on first use; a sweep does not read it."""
         sp = self.spaces
-        return tuple(map_from_tuple(sp[si], sp[di], t) for si, di, t in self.iter_triples())
+        return tuple(map_from_tuple(sp[si], sp[di], t)
+                     for si, di, _, ts in self.runs(range(len(self))) for t in ts)
 
     def map_at(self, k: int) -> CMap:
-        return self.maps[k]
+        """Map k, built afresh."""
+        si, di, t = self.triple(k)
+        return map_from_tuple(self.spaces[si], self.spaces[di], t)
 
     def index_of_map(self, f: CMap) -> Optional[int]:
         if len(f.src.points) > self.n or len(f.dst.points) > self.n:
@@ -516,6 +531,13 @@ def get_universe(n: int) -> Universe:
         lambda uni: {"n": n, "maps": [[si, di, len(codes), _pack(codes)]
                                       for si, di, codes in uni.blocks]},
     )
+
+
+def _space_universe(n: int) -> Universe:
+    """The spaces of ``enumerate_spaces(n)`` as a universe held in memory:
+    map k, alone in its block, is the one from the empty space to space k."""
+    spaces = enumerate_spaces(n)
+    return Universe(n, spaces, [(0, di, (0,)) for di in range(len(spaces))])
 
 
 def enumerate_maps(n: int) -> Sequence[CMap]:

@@ -56,7 +56,6 @@ from .properties import (
 from .registry import (
     DENSE_ARCHETYPE,
     DISJOINT_CLOSURES_ARCHETYPE,
-    EMPTY,
     EMPTY_TO_POINT,
     INJECTIVE_ARCHETYPE,
     LAMBDA_TO_POINT,
@@ -67,7 +66,7 @@ from .registry import (
     SUBSET_ARCHETYPE_FWD,
 )
 from .space import CMap, compose, is_isomorphism, sub
-from .universe import enumerate_spaces, get_universe
+from .universe import _space_universe, enumerate_spaces, get_universe
 
 MAX_LISTED = 20  # counterexamples listed per claim; totals go in the detail
 
@@ -157,16 +156,17 @@ class _Run:
             rows = [(side, arch, pred) for owner, _, _, side, arch, pred, subj in _SWEEPS
                     if owner == self.suite and subj == subject]
             steps = [([arch], side, pred) for side, arch, pred in rows]
-            if subject == "spaces":  # each space lifted as the map from the empty space
-                items, ks = enumerate_spaces(self.n), None
-                maps = [CMap(EMPTY, x, {}) for x in items]
+            if subject == "spaces":  # space k lifted as map k, the one out of the empty space
+                u, ks = _space_universe(self.n), None
+                item = u.spaces.__getitem__
                 steps = [(members, side, partial(_of_dst, pred)) for members, side, pred in steps]
             else:  # the left class first: a bound over 4 fails before a build
                 ks = self.left if subject == "left-class maps" else None
-                items = maps = get_universe(self.n).maps
-            kept = _step(maps, steps, self.jobs, ks)
-            got = self._sweeps[subject] = (len(items if ks is None else ks), {
-                row: [items[k] for k in row_kept] for row, row_kept in zip(rows, kept)})
+                u = get_universe(self.n)
+                item = u.map_at
+            kept = _step(u, steps, self.jobs, ks)
+            got = self._sweeps[subject] = (len(u if ks is None else ks), {
+                row: list(map(item, row_kept)) for row, row_kept in zip(rows, kept)})
         return got
 
     @cached_property

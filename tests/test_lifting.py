@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from operator import and_
 
@@ -50,7 +51,8 @@ from ftop.registry import (
 from ftop.space import (
     CMap, Space, _fibers, compose, identity, is_isomorphism, map_from_tuple, sub,
 )
-from ftop.universe import enumerate_spaces, get_universe
+from ftop.properties import injective, surjective
+from ftop.universe import Universe, _space_universe, get_universe
 
 
 def spaces_alive(prefix):
@@ -608,25 +610,18 @@ class TestRelativeOrthogonal:
         u = get_universe(2)
         assert decisions("r")[1] == {"r": len(u) - sum(map(is_isomorphism, u.maps))} == {"r": 26}
 
-    def test_two_map_base_stops_at_the_first_refuting_map(self, monkeypatch):
+    def test_two_map_base_stops_at_the_first_refuting_map(self):
         import ftop.lifting as lifting
-
-        calls = []
-
-        def counting(i, g, tables):  # a left row's decisions
-            calls.append((i, g))
-            return _lifts_left(i, g, tables)
 
         def bases():  # maps over fresh spaces, so no class is cached for them
             point, sierpinski = Space(["o"], []), Space(["o", "c"], [("o", "c")])
             return CMap(Space.empty(), point, {}), CMap(point, sierpinski, {"o": "o"})
 
-        monkeypatch.setattr(lifting, "_lifts_left", counting)
+        before = lifting.DECISIONS["l"]
         singles = [set(relative_orthogonal([b], "l", 3).indices) for b in bases()]
-        apart = len(calls)
-        calls.clear()
+        apart, before = lifting.DECISIONS["l"] - before, lifting.DECISIONS["l"]
         both = relative_orthogonal(bases(), "l", 3)
-        assert 0 < len(calls) < apart
+        assert 0 < lifting.DECISIONS["l"] - before < apart
         assert set(both.indices) == singles[0] & singles[1]
 
     def test_zeroed_matrix_file_is_rebuilt(self, monkeypatch):
@@ -672,7 +667,7 @@ class TestRelativeOrthogonal:
             assert not is_isomorphism(u.map_at(i))  # else the row check sees it
             bad[i] ^= 1 << j
         else:  # a row the sample never reads, so only the row check sees it
-            k = next(k for k, (si, di, _) in enumerate(u.iter_triples())
+            k = next(k for k, (si, di, _) in enumerate(map(u.triple, range(len(u))))
                      if si == di and is_isomorphism(u.map_at(k))
                      and k not in {i for i, _ in sample})
             bad[k] = 0
@@ -703,14 +698,76 @@ class TestStep:
             ([EMPTY_TO_POINT, OPEN_POINT_INCL], "l"),
             ([u.map_at(k) for k in range(0, len(u), 61 if n == 3 else 5)], "r"),
         ]
-        together = _step(u.maps, rows, jobs)
-        assert together == [_step(u.maps, [row], jobs)[0] for row in rows]
+        together = _step(u, rows, jobs)
+        assert together == [_step(u, [row], jobs)[0] for row in rows]
         assert all(list(kept) == sorted(set(kept)) for kept in together)
         assert 0 < len(together[1]) < len(u)
         # universe indices of the kept subset, in ks order; several blocks at n=3
         ks = tuple(range(1, len(u), 3))
-        for full, part in zip(together, _step(u.maps, rows, jobs, ks=ks)):
+        for full, part in zip(together, _step(u, rows, jobs, ks=ks)):
             assert part == tuple(k for k in full if k in ks)
+
+    @pytest.mark.usefixtures("forked_steps")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_block_sweep_matches_per_map_decisions(self, jobs):
+        import ftop.lifting as lifting
+
+        u = get_universe(3)
+        members = [u.map_at(k) for k in range(3, len(u), 97)] + [identity(u.spaces[5])]
+        rows = [(members, "l"), (members, "r"), (members, "l", surjective),
+                (members, "r", injective), ([M_TO_LAMBDA], "l", injective)]
+        ks = range(3, len(u), 2)
+        # the positions cross blocks, and some STEP_BLOCK cut falls inside one
+        assert any(u.triple(ks[s - 1])[:2] == u.triple(ks[s])[:2]
+                   for s in range(STEP_BLOCK, len(ks), STEP_BLOCK))
+        before = lifting.DECISIONS.copy()
+        got = _step(u, rows, jobs, ks)
+        want, made = oracle_keep(u, rows, ks)
+        assert got == want and all(0 < len(kept) < len(ks) for kept in got)
+        assert lifting.DECISIONS - before == made
+        for (row_members, letter, *pred), kept in zip(rows, got):
+            expect = tuple(k for k in ks if all(
+                lifts_bool(u.map_at(k), c) if letter == "l" else lifts_bool(c, u.map_at(k))
+                for c in row_members) != (bool(pred) and pred[0](u.map_at(k))))
+            assert kept == expect
+
+    @pytest.mark.usefixtures("forked_steps")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_without_predicates_read_no_catalog_maps(self, jobs, monkeypatch):
+        u = get_universe(3)
+        rows = [([M_TO_LAMBDA], "l"), ([OPEN_POINT_INCL], "r"), ([EMPTY_TO_POINT, sub(1)], "l")]
+        want = _step(u, rows, jobs)
+
+        def refuse(self):
+            raise AssertionError("a step read Universe.maps")
+
+        monkeypatch.setattr(Universe, "maps", property(refuse))
+        assert _step(Universe(u.n, u.spaces, u.blocks), rows, jobs) == want
+
+
+def oracle_keep(u, rows, ks):
+    """Oracle: the per-map sweep the block sweep replaced.  Per STEP_BLOCK
+    positions, with fresh tables and member orders, each map against each
+    row in turn through the per-map kernels, isomorphisms kept without a
+    decision; (kept positions per row, decisions per letter)."""
+    kept, made = [[] for _ in rows], Counter()
+    for s in range(0, len(ks), STEP_BLOCK):
+        tables = {}
+        orders = [[c for c in row[0] if not is_isomorphism(c)] for row in rows]
+        for k in ks[s:s + STEP_BLOCK]:
+            m = u.map_at(k)
+            for r, (order, (_, letter, *pred)) in enumerate(zip(orders, rows)):
+                lifted = True
+                for pos, c in enumerate(() if is_isomorphism(m) else order):
+                    made[letter] += 1
+                    if not (_lifts_left(m, c, tables) if letter == "l"
+                            else _lifts_right(c, m, tables)):
+                        order.insert(0, order.pop(pos))
+                        lifted = False
+                        break
+                if lifted != (bool(pred) and pred[0](m)):
+                    kept[r].append(k)
+    return [tuple(row) for row in kept], made
 
 
 class TestPool:
@@ -719,14 +776,19 @@ class TestPool:
         # the matrix, universe(4), spaces(5) and mlambda's left-class sweeps fork
         u3, u4 = get_universe(3), get_universe(4)
         two = [([SUBSET_ARCHETYPE_FWD], "l"), ([SUBSET_ARCHETYPE_BWD], "l")]
-        assert not _pays(u3.maps, two, range(len(u3)))
-        assert _pays(u3.maps, [([m], "r") for m in u3.maps], range(len(u3)))
-        assert _pays(u4.maps, [([EMPTY_TO_POINT], "l")], range(len(u4)))
-        spaces = [CMap(EMPTY, x, {}) for x in enumerate_spaces(5)]
+        assert not _pays(u3, two, range(len(u3)))
+        assert _pays(u3, [([m], "r") for m in u3.maps], range(len(u3)))
+        assert _pays(u4, [([EMPTY_TO_POINT], "l")], range(len(u4)))
+        spaces = _space_universe(5)
         assert _pays(spaces, [([M_TO_LAMBDA], "l")], range(len(spaces)))
+        # two rows over the spaces of up to 4 points: only blocks of the
+        # candidates swept count, not the 5-point ones after them
+        both = [([M_TO_LAMBDA], "l"), ([M_TO_LAMBDA], "r")]
+        assert not _pays(spaces, both, range(len(spaces) - 139))
+        assert _pays(spaces, both, range(len(spaces) - 138))  # and one 5-point space
         left = relative_orthogonal([M_TO_LAMBDA], "l", 4).indices
         assert len(left) == 846
-        assert _pays(u4.maps, [([sub(1)], "l"), ([sub(2)], "l")], left)
+        assert _pays(u4, [([sub(1)], "l"), ([sub(2)], "l")], left)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="pools need fork")
     def test_pool_counts_say_which_steps_forked(self):
@@ -777,7 +839,7 @@ class TestLeftRows:
     def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
         u = get_universe(3)
         members = [u.map_at(k) for k in range(3, len(u), 41)]
-        kept, = _step(u.maps, [(members, "l")], jobs)
+        kept, = _step(u, [(members, "l")], jobs)
         expect = tuple(k for k, m in enumerate(u.maps)
                        if all(lifts_bool(m, c) for c in members))
         assert kept == expect
@@ -814,7 +876,7 @@ class TestLeftRows:
 
         monkeypatch.setattr(parallel, "pmap", probe)
         member = parse_map("{left_a<-left_u->left_b}-->{left_a=left_u->left_b}")
-        _step(get_universe(3).maps, [([member], "l")], jobs)
+        _step(get_universe(3), [([member], "l")], jobs)
         assert (seen[0] == 0) == (jobs == 2)
         del member
         assert spaces_alive("left_") == 0
@@ -837,7 +899,7 @@ class TestRightRows:
     def test_multi_member_step_at_3_matches_lifts_bool(self, jobs):
         u = get_universe(3)
         members = [u.map_at(k) for k in range(3, len(u), 41)]
-        kept, = _step(u.maps, [(members, "r")], jobs)
+        kept, = _step(u, [(members, "r")], jobs)
         expect = tuple(k for k, m in enumerate(u.maps)
                        if all(lifts_bool(c, m) for c in members))
         assert kept == expect

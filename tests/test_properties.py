@@ -5,6 +5,7 @@ from ftop.lifting import lifts_bool, monotone_maps
 from ftop.properties import (
     _closed_masks,
     _image_mask,
+    _min_open,
     admits_section,
     classify,
     closed_map,
@@ -40,7 +41,7 @@ from ftop.registry import (
     PULLBACK_ARCHETYPE,
     SIERPINSKI,
 )
-from ftop.space import CMap, Space, compose, coproduct, identity, quotient
+from ftop.space import CMap, Space, _bits, compose, coproduct, identity, quotient
 from ftop.universe import enumerate_spaces, get_universe
 
 
@@ -110,6 +111,84 @@ def all_pairs_closed_pair_extension(f):
         for a, (c1, d1) in enumerate(ext)
         for c2, d2 in ext[a + 1:]
     )
+
+
+# the bodies these checkers had before they were written as enumerate loops,
+# on the ``_bits`` generator; kept as oracles for the loops
+
+def bits_image_mask(f, src_mask):
+    t = f.as_tuple()
+    acc = 0
+    for i in _bits(src_mask):
+        acc |= 1 << t[i]
+    return acc
+
+
+def bits_closed_map(f):
+    src, dst, t = f.src, f.dst, f.as_tuple()
+    return all(
+        dst.up[t[i]] & ~bits_image_mask(f, src.up[i]) == 0
+        for i in range(len(src.points))
+    )
+
+
+def bits_induced_topology(f):
+    src, dst, t = f.src, f.dst, f.as_tuple()
+    n = len(src.points)
+    return all(
+        ((src.up[i] >> j) & 1) == ((dst.up[t[i]] >> t[j]) & 1)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def bits_min_open(x, mask):
+    acc = 0
+    for i in _bits(mask):
+        acc |= x.down[i]
+    return acc
+
+
+def bits_closure_mask(x, mask):
+    acc = 0
+    for i in _bits(mask):
+        acc |= x.up[i]
+    return acc
+
+
+def bits_fill(pts, up):
+    """The ``down`` rows and the ``rel`` pairs that ``Space._fill`` set."""
+    n = len(pts)
+    down = [0] * n
+    for i in range(n):
+        for j in _bits(up[i]):
+            down[j] |= 1 << i
+    full = frozenset(
+        (pts[i], pts[j]) for i in range(n) for j in _bits(up[i])
+    )
+    return tuple(down), full
+
+
+class TestEnumerateLoops:
+    def test_map_checks_match_their_bit_loops_on_universe_4(self):
+        verdicts = set()
+        for f in get_universe(4).maps:
+            src = f.src
+            full = (1 << len(src.points)) - 1
+            for mask in (full, *src.up, *src.down):
+                assert _image_mask(f, mask) == bits_image_mask(f, mask)
+            got = (closed_map(f), induced_topology(f))
+            assert got == (bits_closed_map(f), bits_induced_topology(f))
+            verdicts.add(got)
+        assert verdicts == {(a, b) for a in (True, False) for b in (True, False)}
+
+    def test_space_loops_match_their_bit_loops_on_spaces_5(self):
+        spaces = enumerate_spaces(5) + (M, LAMBDA, quotient(M, [["a", "u"], ["x"], ["v", "b"]])[0])
+        for x in spaces:
+            assert (x.down, x.rel) == bits_fill(x.points, x.up)
+            for mask in range(1 << len(x.points)):
+                assert x.closure_mask(mask) == bits_closure_mask(x, mask)
+                assert _min_open(x, mask) == bits_min_open(x, mask)
 
 
 class TestSetLevelFlags:

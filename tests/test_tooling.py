@@ -62,7 +62,7 @@ def test_pmap_is_called_only_by_the_lifting_step():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pmap"
     ]
-    assert calls == [("lifting.py", "_step", "partial(_keep, maps, rows, {})")]
+    assert calls == [("lifting.py", "_step", "partial(_keep, u, rows, {})")]
 
 
 def test_lifting_keeps_no_step_state_in_module_globals():
@@ -150,19 +150,23 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_only_keep_decides_left_rows():
-    # the row kernels read members prepared for one _step, so each has one
-    # caller, the sweep itself
-    calls = [
-        (path.name, getattr(top, "name", None), name)
+    # the row kernels read tables prepared for one _step, so the sweep is
+    # their one user in the package, besides the per-map callers that the
+    # tests drive, which no module calls
+    kernels = ("_left_kernel", "_left_decide", "_right_kernel", "_right_decide")
+    uses = sorted(
+        (path.name, getattr(top, "name", None), node.id)
         for path in sorted(SRC.glob("*.py"))
         for top in ast.parse(path.read_text(), filename=str(path)).body
+        if not (isinstance(top, ast.FunctionDef) and top.name in kernels)
         for node in ast.walk(top)
-        if isinstance(node, ast.Call)
-        and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
-        in ("_lifts_left", "_lifts_right")
-    ]
-    assert calls == [("lifting.py", "_keep", "_lifts_left"),
-                     ("lifting.py", "_keep", "_lifts_right")]
+        if isinstance(node, ast.Name) and node.id in kernels + ("_lifts_left", "_lifts_right")
+    )
+    assert uses == sorted([("lifting.py", "_keep", name) for name in kernels]
+                          + [("lifting.py", "_lifts_left", "_left_decide"),
+                             ("lifting.py", "_lifts_left", "_left_kernel"),
+                             ("lifting.py", "_lifts_right", "_right_decide"),
+                             ("lifting.py", "_lifts_right", "_right_kernel")])
 
 
 # installs the benchmark's layer tracer, then counts a few small calls

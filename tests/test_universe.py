@@ -14,9 +14,11 @@ from ftop._solve import hom
 from ftop.errors import CapacityError
 from ftop.lifting import lifts_bool, monotone_maps, relative_orthogonal
 from ftop.registry import EMPTY_TO_POINT, M_TO_LAMBDA
-from ftop.space import CMap, Space, sub
+from ftop.space import CMap, Space, is_isomorphism, sub
 from ftop.universe import (
     Universe,
+    _auts,
+    _canon,
     _enc_bits,
     automorphisms,
     canonical_space,
@@ -180,6 +182,12 @@ class TestCanonicalForms:
         assert len(automorphisms(disc2)) == 2
         assert len(automorphisms(Space.from_arrows("ab", [("a", "b")]))) == 1
 
+    def test_automorphisms_are_kept_on_the_space(self):
+        for s in (Space.from_arrows("abc", []), *enumerate_spaces(4)):
+            group = automorphisms(s)
+            assert automorphisms(s) is group
+            assert group == _auts(_canon(s)[1])
+
 
 class TestMapUniverse:
     def test_reps_are_orbit_distinct(self):
@@ -202,7 +210,7 @@ class TestMapUniverse:
         u = get_universe(3)
         assert all(u.index_of_map(u.map_at(k)) == k for k in range(len(u)))
         # a map whose triple is missing is not found, at either end too
-        triples = list(u.iter_triples())
+        triples = [u.triple(k) for k in range(len(u))]
         for k in (0, len(u) // 2, len(u) - 1):
             gap = Universe(3, u.spaces, packed(triples[:k] + triples[k + 1:], u.spaces))
             assert len(gap) == len(u) - 1
@@ -258,9 +266,31 @@ class TestMapUniverse:
             for di, y in enumerate(u.spaces):
                 assert sizes.get((si, di), 0) == burnside_orbits(x, y), (si, di)
 
+    @pytest.mark.parametrize("n, count", [(3, 14), (4, 47)])
+    def test_isomorphisms_lie_one_per_diagonal_block(self, n, count):
+        # the sweep tests only the maps of blocks (s, s) for isomorphisms
+        u = get_universe(n)
+        blocks = [u.triple(k)[:2] for k in range(len(u))]
+        isos = [blocks[k] for k in range(len(u)) if is_isomorphism(u.map_at(k))]
+        assert sorted(isos) == [(s, s) for s in range(len(u.spaces))]
+        assert len(isos) == count
+
+    def test_runs_split_indices_by_block(self):
+        u = get_universe(3)
+        triples = [u.triple(k) for k in range(len(u))]
+        for ks in (range(len(u)), range(1, len(u), 3), [5, 4, 3, 600, 2, 2], []):
+            runs = u.runs(ks)
+            assert [k for _, _, run, _ in runs for k in run] == list(ks)
+            for si, di, run, ts in runs:
+                assert [triples[k] for k in run] == [(si, di, t) for t in ts]
+            # maximal: neighbouring runs come from different blocks
+            for a, b in zip(runs, runs[1:]):
+                assert a[:2] != b[:2]
+        assert len(u.runs(range(len(u)))) == len(u.blocks)
+
     def test_triple_is_a_sequence_index(self):
         u = get_universe(3)
-        triples = list(u.iter_triples())
+        triples = [(si, di, t) for si, di, _, ts in u.runs(range(len(u))) for t in ts]
         assert [u.triple(k) for k in range(len(u))] == triples
         assert u.triple(-1) == triples[-1] and u.triple(-len(u)) == triples[0]
         for k in (len(u), -len(u) - 1):
@@ -397,7 +427,7 @@ class TestDiskCache:
         loaded = uni.get_universe(n)  # decoded from the file
         spaces = uni.enumerate_spaces(n)
         want = orbit_triples(spaces)
-        assert list(loaded.iter_triples()) == want
+        assert [loaded.triple(k) for k in range(len(loaded))] == want
         assert loaded.blocks == tuple(packed(want, spaces))
         assert len(loaded) == uni.MAP_COUNTS[n]
 

@@ -150,6 +150,26 @@ class TestReportShape:
         assert "lemma21" in prefixes and "retract" in prefixes
 
 
+@pytest.mark.parametrize("suite, n, subject", [("normality", 3, "spaces"),
+                                               ("closed_proper", 2, "maps")])
+def test_sweep_disagreements_are_items_of_the_subject(suite, n, subject, monkeypatch):
+    # with its predicate negated, a row disagrees with every item it sweeps,
+    # and hands each back as a space or as a map, in catalog order
+    import ftop.verify as verify
+    from ftop.universe import enumerate_spaces, get_universe
+
+    def negated(pred):
+        return lambda item: not pred(item)
+
+    monkeypatch.setattr(verify, "_SWEEPS", tuple(
+        row[:5] + (negated(row[5]),) + row[6:] if row[0] == suite else row
+        for row in verify._SWEEPS))
+    items = enumerate_spaces(n) if subject == "spaces" else get_universe(n).maps
+    total, bad = verify._Run(suite, n, 1).sweep(subject)
+    (got,) = bad.values()
+    assert total == len(items) and got == list(items)
+
+
 GOLDEN = Path(__file__).parent / "data" / "verify_all_n2.json"
 
 
