@@ -32,7 +32,9 @@ from .errors import CapacityError, MapError
 from .space import (
     CMap, Space, _cmap, _fibers, compose, identity, is_isomorphism, map_from_tuple, map_to_json,
 )
-from .universe import Universe, _artifact, _canon, _inverse, automorphisms, get_universe
+from .universe import (
+    Universe, _artifact, _canon, _inverse, automorphisms, enumerate_maps, get_universe,
+)
 
 MATRIX_MAX_N = 3  # largest bound for the pairwise lifting matrix
 STEP_BLOCK = 64  # positions per work item of a _step
@@ -232,16 +234,6 @@ def _right_decide(kernel: tuple, gt: tuple[int, ...]) -> bool:
     return True
 
 
-def _lifts_left(i: CMap, g: CMap, tables: dict) -> bool:
-    """Decide i ⧄ g by counting squares: the left kernel for one map."""
-    return _left_decide(_left_kernel(g, i.src, i.dst, tables), i.as_tuple())
-
-
-def _lifts_right(i: CMap, g: CMap, tables: dict) -> bool:
-    """Decide i ⧄ g by counting squares: the right kernel for one map."""
-    return _right_decide(_right_kernel(i, g.src, g.dst, tables), g.as_tuple())
-
-
 @dataclass(frozen=True)
 class LiftCertificate:
     """Verdict of a lifting query with re-checkable evidence.
@@ -363,7 +355,7 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
 
     return _artifact(f"matrix_n{n}", decode,
                      lambda: [sum(1 << j for j in row)
-                              for row in _step(u, [([m], "r") for m in u.maps], jobs)],
+                              for row in _step(u, [([m], "r") for m in enumerate_maps(n)], jobs)],
                      lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
@@ -483,7 +475,7 @@ def relative_orthogonal(base: Sequence[CMap], word: str, n: int, jobs: int = 1) 
     for end in range(1, len(word) + 1):
         key = (tag, word[:end], n)
         if key not in memo:
-            members = base if cur is None else [u.maps[k] for k in cur]
+            members = base if cur is None else [u.map_at(k) for k in cur]
             memo[key], = _step(u, [(members, word[end - 1])], jobs)
         cur = memo[key]
     return BoundedClass(base, word, n, cur, exact=(len(word) == 1))

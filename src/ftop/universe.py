@@ -10,9 +10,10 @@ A universe stores its maps as blocks, one per (source, target) pair of
 catalog spaces: an array of the index tuples' base-|target| codes, in
 increasing order, on disk as hex.  A cached table of digit tuples decodes a
 code, so loading builds no object per map, and a sweep reads index tuples by
-runs of one block (``Universe.runs``); ``Universe.map_at`` builds one map,
-``Universe.maps`` every map once per process, and a map is looked up by
-bisecting its block.
+runs of one block (``Universe.runs``).  The blocks are the universe's only
+copy of its maps: ``Universe.map_at`` builds one map, ``enumerate_maps``
+every map afresh on each call, and a map is looked up by bisecting its
+block.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import operator
 import os
 import sys
 from array import array
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -430,13 +431,6 @@ class Universe:
             run[3].append(table[codes[k - start]])
         return out
 
-    @cached_property
-    def maps(self) -> tuple[CMap, ...]:
-        """Every catalog map, built on first use; a sweep does not read it."""
-        sp = self.spaces
-        return tuple(map_from_tuple(sp[si], sp[di], t)
-                     for si, di, _, ts in self.runs(range(len(self))) for t in ts)
-
     def map_at(self, k: int) -> CMap:
         """Map k, built afresh."""
         si, di, t = self.triple(k)
@@ -540,6 +534,10 @@ def _space_universe(n: int) -> Universe:
     return Universe(n, spaces, [(0, di, (0,)) for di in range(len(spaces))])
 
 
-def enumerate_maps(n: int) -> Sequence[CMap]:
-    """Canonical representatives of all maps in the n-point universe."""
-    return get_universe(n).maps
+def enumerate_maps(n: int) -> tuple[CMap, ...]:
+    """Canonical representatives of all maps in the n-point universe, in
+    index order, built afresh on each call."""
+    u = get_universe(n)
+    sp = u.spaces
+    return tuple(map_from_tuple(sp[si], sp[di], t)
+                 for si, di, _, ts in u.runs(range(len(u))) for t in ts)

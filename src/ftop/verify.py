@@ -66,7 +66,7 @@ from .registry import (
     SUBSET_ARCHETYPE_FWD,
 )
 from .space import CMap, compose, is_isomorphism, sub
-from .universe import _space_universe, enumerate_spaces, get_universe
+from .universe import _space_universe, enumerate_maps, enumerate_spaces, get_universe
 
 MAX_LISTED = 20  # counterexamples listed per claim; totals go in the detail
 
@@ -137,8 +137,9 @@ def _verdict(bad: list, total: int, subject: str):
 
 class _Run:
     """One suite run: its bound, its pool size, and what its claims share,
-    computed by the first claim that needs it: the mlambda left class, and
-    per subject the disagreements of the suite's ``_SWEEPS`` rows."""
+    computed by the first claim that needs it: the universe's maps, the
+    mlambda left class, and per subject the disagreements of the suite's
+    ``_SWEEPS`` rows."""
 
     def __init__(self, suite: str, n: int, jobs: int):
         self.suite = suite
@@ -168,6 +169,11 @@ class _Run:
             got = self._sweeps[subject] = (len(u if ks is None else ks), {
                 row: list(map(item, row_kept)) for row, row_kept in zip(rows, kept)})
         return got
+
+    @cached_property
+    def maps(self) -> tuple[CMap, ...]:
+        """Every map of the n-universe, built once per run."""
+        return enumerate_maps(self.n)
 
     @cached_property
     def left(self) -> tuple[int, ...]:
@@ -234,12 +240,11 @@ _LEMMA21_ANCHORS = {
 
 
 def _ladder(run: _Run, word: str, pred: Callable):
-    u = get_universe(run.n)
     cls = relative_orthogonal([EMPTY_TO_POINT], word, run.n, jobs=run.jobs)
     in_class = set(cls.indices)
     missing = []
     extra = []
-    for k, m in enumerate(u.maps):
+    for k, m in enumerate(run.maps):
         p = pred(m)
         if p and k not in in_class:
             missing.append(m)
@@ -249,7 +254,7 @@ def _ladder(run: _Run, word: str, pred: Callable):
         return (
             "fail",
             f"{len(missing)} characterized maps missing from the bounded "
-            f"class (plus {len(extra)} extra members) over {len(u)} maps",
+            f"class (plus {len(extra)} extra members) over {len(run.maps)} maps",
             missing + extra,
         )
     if extra:
@@ -258,10 +263,10 @@ def _ladder(run: _Run, word: str, pred: Callable):
         return (
             status,
             f"bounded class has {len(extra)} members beyond the "
-            f"characterization over {len(u)} maps; {note}",
+            f"characterization over {len(run.maps)} maps; {note}",
             extra,
         )
-    return "pass", f"exact match over {len(u)} maps", []
+    return "pass", f"exact match over {len(run.maps)} maps", []
 
 
 # -- single-step equivalence sweeps ---------------------------------------------
@@ -371,16 +376,15 @@ def _retract(run: _Run):
 
 
 def _factorization(run: _Run):
-    u = get_universe(run.n)
     left, right = (relative_orthogonal([M_TO_LAMBDA], word, run.n, jobs=run.jobs)
                    for word in ("l", "lr"))
     found = factoring_maps(left, right)
     return (
         "caveat",
-        f"bounded factorization found for {len(found)}/{len(u)} maps "
+        f"bounded factorization found for {len(found)}/{len(run.maps)} maps "
         "(exploration only: classes are bounded over-approximations and "
         "middle objects are capped)",
-        [m for k, m in enumerate(u.maps) if k not in found],
+        [m for k, m in enumerate(run.maps) if k not in found],
     )
 
 

@@ -17,10 +17,12 @@ from ftop.lifting import (
     LiftCertificate,
     STEP_BLOCK,
     Square,
-    _lifts_left,
-    _lifts_right,
+    _left_decide,
+    _left_kernel,
     _pays,
     _pinned,
+    _right_decide,
+    _right_kernel,
     _squares,
     _step,
     factor_search,
@@ -52,7 +54,7 @@ from ftop.space import (
     CMap, Space, _fibers, compose, identity, is_isomorphism, map_from_tuple, sub,
 )
 from ftop.properties import injective, surjective
-from ftop.universe import Universe, _space_universe, get_universe
+from ftop.universe import Universe, _space_universe, enumerate_maps, get_universe
 
 
 def spaces_alive(prefix):
@@ -421,13 +423,13 @@ UNORDERED_PAIRS = (
 
 class TestSquareWalk:
     def test_every_pair_at_2_matches_a_memo_free_walk(self):
-        maps = get_universe(2).maps
+        maps = enumerate_maps(2)
         for i in maps:
             for g in maps:
                 check_walk(i, g)
 
     def test_sampled_pairs_at_3_match_a_memo_free_walk(self):
-        maps = get_universe(3).maps
+        maps = enumerate_maps(3)
         rng = random.Random(0)
         for _ in range(2000):
             check_walk(maps[rng.randrange(len(maps))], maps[rng.randrange(len(maps))])
@@ -440,7 +442,8 @@ class TestSquareWalk:
         check_walk(i, g)
 
     def test_squares_skip_the_phis_without_a_fiber(self):
-        pairs = [(i, g) for i in get_universe(2).maps for g in get_universe(2).maps]
+        maps = enumerate_maps(2)
+        pairs = [(i, g) for i in maps for g in maps]
         pairs += sampled_pairs(3, 2000)
         for i, g in pairs:
             assert list(_squares(i, g)) == list(filtered_squares(i, g)), (i, g)
@@ -607,8 +610,30 @@ class TestRelativeOrthogonal:
         assert set(made) == {"r"} and made["r"] > 0
         assert decisions("lr")[1] == {}
         # a first letter skips the isomorphisms, as every later one does
-        u = get_universe(2)
-        assert decisions("r")[1] == {"r": len(u) - sum(map(is_isomorphism, u.maps))} == {"r": 26}
+        maps = enumerate_maps(2)
+        assert decisions("r")[1] == {"r": len(maps) - sum(map(is_isomorphism, maps))} == {"r": 26}
+
+    def test_later_letters_build_only_their_members(self, monkeypatch):
+        import ftop.lifting as lifting
+        import ftop.universe as universe
+
+        want = relative_orthogonal([parse_map("{}-->{o}")], "rl", 3).indices
+        base = CMap(Space.empty(), Space(["o"], []), {})  # fresh spaces: no memo applies
+        members = relative_orthogonal([base], "r", 3).indices
+        real, built = Universe.map_at, []
+
+        def counting(self, k):
+            built.append(k)
+            return real(self, k)
+
+        def refuse(n):
+            raise AssertionError("a step built every map of the universe")
+
+        monkeypatch.setattr(Universe, "map_at", counting)
+        monkeypatch.setattr(universe, "enumerate_maps", refuse)
+        monkeypatch.setattr(lifting, "enumerate_maps", refuse)
+        assert relative_orthogonal([base], "rl", 3).indices == want
+        assert built == list(members)
 
     def test_two_map_base_stops_at_the_first_refuting_map(self):
         import ftop.lifting as lifting
@@ -738,11 +763,11 @@ class TestStep:
         rows = [([M_TO_LAMBDA], "l"), ([OPEN_POINT_INCL], "r"), ([EMPTY_TO_POINT, sub(1)], "l")]
         want = _step(u, rows, jobs)
 
-        def refuse(self):
-            raise AssertionError("a step read Universe.maps")
+        def refuse(self, k):
+            raise AssertionError("a step built a catalog map")
 
-        monkeypatch.setattr(Universe, "maps", property(refuse))
-        assert _step(Universe(u.n, u.spaces, u.blocks), rows, jobs) == want
+        monkeypatch.setattr(Universe, "map_at", refuse)
+        assert _step(u, rows, jobs) == want
 
 
 def oracle_keep(u, rows, ks):
@@ -777,7 +802,7 @@ class TestPool:
         u3, u4 = get_universe(3), get_universe(4)
         two = [([SUBSET_ARCHETYPE_FWD], "l"), ([SUBSET_ARCHETYPE_BWD], "l")]
         assert not _pays(u3, two, range(len(u3)))
-        assert _pays(u3, [([m], "r") for m in u3.maps], range(len(u3)))
+        assert _pays(u3, [([m], "r") for m in enumerate_maps(3)], range(len(u3)))
         assert _pays(u4, [([EMPTY_TO_POINT], "l")], range(len(u4)))
         spaces = _space_universe(5)
         assert _pays(spaces, [([M_TO_LAMBDA], "l")], range(len(spaces)))
@@ -805,6 +830,16 @@ class TestPool:
         assert counted("l", 4) == {"calls": 1, "items": blocks, "forked": 1}
 
 
+def _lifts_left(i, g, tables):
+    """Decide i ⧄ g by counting squares: the left kernel for one map."""
+    return _left_decide(_left_kernel(g, i.src, i.dst, tables), i.as_tuple())
+
+
+def _lifts_right(i, g, tables):
+    """Decide i ⧄ g by counting squares: the right kernel for one map."""
+    return _right_decide(_right_kernel(i, g.src, g.dst, tables), g.as_tuple())
+
+
 def check_kernel(kernel, i, g, tables):
     """A sweep kernel against ``lifts_bool``, once with empty tables
     and once with the state that earlier pairs left in ``tables``; the
@@ -814,25 +849,39 @@ def check_kernel(kernel, i, g, tables):
     _table(i.src, g.src, "enum").clear()
     assert kernel(i, g, {}) == holds, (i, g)
     assert kernel(i, g, tables) == holds, (i, g)
+    return holds
 
 
 def sampled_pairs(n, count):
-    maps, rng = get_universe(n).maps, random.Random(0)
+    maps, rng = enumerate_maps(n), random.Random(0)
     return [(maps[rng.randrange(len(maps))], maps[rng.randrange(len(maps))])
             for _ in range(count)]
 
 
+def kernel_pairs(n):
+    """Seeded pairs for the kernels: 2 000 uniform ones at n=3; at n=4,
+    where few uniform pairs lift, 1 000 of those and 1 000 with i out of a
+    space of at most one point and g surjective."""
+    if n == 3:
+        return sampled_pairs(3, 2000)
+    maps, rng = enumerate_maps(n), random.Random(1)
+    small = [m for m in maps if len(m.src.points) <= 1]
+    onto = [m for m in maps if surjective(m)]
+    return sampled_pairs(n, 1000) + [(rng.choice(small), rng.choice(onto)) for _ in range(1000)]
+
+
 class TestLeftRows:
     def test_every_pair_at_2_matches_lifts_bool(self):
-        maps, tables = get_universe(2).maps, {}
+        maps, tables = enumerate_maps(2), {}
         for i in maps:
             for g in maps:
                 check_kernel(_lifts_left, i, g, tables)
 
-    def test_sampled_pairs_at_3_match_lifts_bool(self):
-        tables = {}
-        for i, g in sampled_pairs(3, 2000):
-            check_kernel(_lifts_left, i, g, tables)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sampled_pairs_match_lifts_bool(self, n):
+        tables, pairs = {}, kernel_pairs(n)
+        lifted = sum(check_kernel(_lifts_left, i, g, tables) for i, g in pairs)
+        assert 0 < lifted < len(pairs)
 
     @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -840,7 +889,7 @@ class TestLeftRows:
         u = get_universe(3)
         members = [u.map_at(k) for k in range(3, len(u), 41)]
         kept, = _step(u, [(members, "l")], jobs)
-        expect = tuple(k for k, m in enumerate(u.maps)
+        expect = tuple(k for k, m in enumerate(enumerate_maps(3))
                        if all(lifts_bool(m, c) for c in members))
         assert kept == expect
         assert 0 < len(kept) < len(u)
@@ -884,15 +933,16 @@ class TestLeftRows:
 
 class TestRightRows:
     def test_every_pair_at_2_matches_lifts_bool(self):
-        maps, tables = get_universe(2).maps, {}
+        maps, tables = enumerate_maps(2), {}
         for i in maps:
             for g in maps:
                 check_kernel(_lifts_right, i, g, tables)
 
-    def test_sampled_pairs_at_3_match_lifts_bool(self):
-        tables = {}
-        for i, g in sampled_pairs(3, 2000):
-            check_kernel(_lifts_right, i, g, tables)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sampled_pairs_match_lifts_bool(self, n):
+        tables, pairs = {}, kernel_pairs(n)
+        lifted = sum(check_kernel(_lifts_right, i, g, tables) for i, g in pairs)
+        assert 0 < lifted < len(pairs)
 
     @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -900,7 +950,7 @@ class TestRightRows:
         u = get_universe(3)
         members = [u.map_at(k) for k in range(3, len(u), 41)]
         kept, = _step(u, [(members, "r")], jobs)
-        expect = tuple(k for k, m in enumerate(u.maps)
+        expect = tuple(k for k, m in enumerate(enumerate_maps(3))
                        if all(lifts_bool(c, m) for c in members))
         assert kept == expect
         assert 0 < len(kept) < len(u)
@@ -1021,7 +1071,7 @@ class TestFactorSearch:
         left = relative_orthogonal([base], "l", 2)
         right = relative_orthogonal([base], "lr", 2)
         found = factoring_maps(left, right)
-        for f in [g for m in u.maps for g in (m, relabeled(m, rng))]:
+        for f in [g for m in enumerate_maps(2) for g in (m, relabeled(m, rng))]:
             got = factor_search(f, [base], "", 2)
             assert (got is None) == (bounded_factor(f, left, right) is None)
             assert (got is None) == (u.index_of_map(f) not in found)

@@ -12,7 +12,7 @@ from ftop.lifting import monotone_maps
 from ftop.parser import _tokens, parse_map, parse_space, render
 from ftop.registry import INDISCRETE2, LAMBDA, M, SIERPINSKI, registry
 from ftop.space import CMap, Space, _fresh, lam, map_from_tuple, sub
-from ftop.universe import enumerate_spaces, get_universe
+from ftop.universe import enumerate_maps, enumerate_spaces
 
 
 _ORACLE_NAME = re.compile(r"[A-Za-z0-9_']+")
@@ -671,7 +671,7 @@ class TestRender:
             assert render(x) == oracle_render_space_text(x), x
 
     def test_maps_render_as_the_name_keyed_renderer_did(self):
-        maps = list(get_universe(3).maps) + [sub(k) for k in range(1, 5)]
+        maps = list(enumerate_maps(3)) + [sub(k) for k in range(1, 5)]
         maps += shared_name_maps(0xF72, 400)
         for f in maps:
             assert render(f) == oracle_render_map_text(f), f

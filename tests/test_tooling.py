@@ -151,8 +151,7 @@ def test_star_import_binds_every_exported_name():
 
 def test_only_keep_decides_left_rows():
     # the row kernels read tables prepared for one _step, so the sweep is
-    # their one user in the package, besides the per-map callers that the
-    # tests drive, which no module calls
+    # their one user in the package; the per-map callers live in the tests
     kernels = ("_left_kernel", "_left_decide", "_right_kernel", "_right_decide")
     uses = sorted(
         (path.name, getattr(top, "name", None), node.id)
@@ -160,13 +159,27 @@ def test_only_keep_decides_left_rows():
         for top in ast.parse(path.read_text(), filename=str(path)).body
         if not (isinstance(top, ast.FunctionDef) and top.name in kernels)
         for node in ast.walk(top)
-        if isinstance(node, ast.Name) and node.id in kernels + ("_lifts_left", "_lifts_right")
+        if isinstance(node, ast.Name) and node.id in kernels
     )
-    assert uses == sorted([("lifting.py", "_keep", name) for name in kernels]
-                          + [("lifting.py", "_lifts_left", "_left_decide"),
-                             ("lifting.py", "_lifts_left", "_left_kernel"),
-                             ("lifting.py", "_lifts_right", "_right_decide"),
-                             ("lifting.py", "_lifts_right", "_right_kernel")])
+    assert uses == sorted(("lifting.py", "_keep", name) for name in kernels)
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private function, method or class that only the tests call is a
+    # test helper, and belongs in tests/
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    refs = [(name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = sorted(
+        f"{name}:{d.name}"
+        for name, tree in trees.items() for d in ast.walk(tree)
+        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and d.name.startswith("_") and not d.name.startswith("__")
+        and not any(used == d.name and not (where == name and d.lineno <= line <= d.end_lineno)
+                    for where, line, used in refs))
+    assert unused == []
 
 
 # installs the benchmark's layer tracer, then counts a few small calls

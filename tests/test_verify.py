@@ -156,7 +156,7 @@ def test_sweep_disagreements_are_items_of_the_subject(suite, n, subject, monkeyp
     # with its predicate negated, a row disagrees with every item it sweeps,
     # and hands each back as a space or as a map, in catalog order
     import ftop.verify as verify
-    from ftop.universe import enumerate_spaces, get_universe
+    from ftop.universe import enumerate_maps, enumerate_spaces
 
     def negated(pred):
         return lambda item: not pred(item)
@@ -164,7 +164,7 @@ def test_sweep_disagreements_are_items_of_the_subject(suite, n, subject, monkeyp
     monkeypatch.setattr(verify, "_SWEEPS", tuple(
         row[:5] + (negated(row[5]),) + row[6:] if row[0] == suite else row
         for row in verify._SWEEPS))
-    items = enumerate_spaces(n) if subject == "spaces" else get_universe(n).maps
+    items = enumerate_spaces(n) if subject == "spaces" else enumerate_maps(n)
     total, bad = verify._Run(suite, n, 1).sweep(subject)
     (got,) = bad.values()
     assert total == len(items) and got == list(items)
