@@ -1,6 +1,8 @@
 """Exhaustive catalogs of finite spaces and monotone maps up to isomorphism.
 
 Spaces are enumerated as (poset of indiscernibility classes) x (class sizes).
+Posets on k points extend those on k-1 points by one point, and a space's
+up rows expand its poset's rows by the class sizes, so nothing is filtered.
 One branch and bound, ``_scan``, finds the minimal adjacency encoding of a
 relation and every permutation achieving it; canonical keys, canonical
 labelings and automorphism groups all come from it.  Maps between catalog
@@ -32,14 +34,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from ._solve import _search
 from .errors import CapacityError
-from .space import CMap, Space, _close, map_from_tuple, space_from_json, space_to_json
+from .space import CMap, Space, map_from_tuple, space_from_json, space_to_json
 
-SPACES_MAX_N = 6
+SPACES_MAX_N = 7
 MAPS_MAX_N = 5
 _JSON_BLOCK = 64  # list items encoded per json.dumps call of a cache write
 # spaces per point count up to homeomorphism (OEIS A001930), and maps of the
 # n-point universe for n = 0..MAPS_MAX_N; a catalog read from disk must match
-SPACE_COUNTS = (1, 1, 3, 9, 33, 139, 718)
+SPACE_COUNTS = (1, 1, 3, 9, 33, 139, 718, 4535)
 MAP_COUNTS = (1, 3, 31, 661, 25586, 1649594)
 
 T = TypeVar("T")
@@ -266,62 +268,48 @@ def map_key(f: CMap) -> tuple[int, int, int, int, tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _posets(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """Posets on k labeled points, one labeling per iso class (in order of
-    canonical key), paired with their automorphism groups."""
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    canonical key), paired with their automorphism groups: each poset on k-1
+    points gains a last point related to itself and to a set of old points
+    closed under the relation (every poset is one, with a point no other
+    relates to last).  Points relate only to earlier ones, so point i joins
+    each closed set that holds the rest of its row."""
+    if k == 0:
+        return (((), ((),)),)
     found: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
-    for mask in range(1 << len(pairs)):
-        rows = [1 << i for i in range(k)]
-        for bit, (i, j) in enumerate(pairs):
-            if (mask >> bit) & 1:
-                rows[i] |= 1 << j
-        if _close(k, rows[:]) == rows:  # transitive
-            bits, perms = _scan(k, rows)
+    for rows, _ in _posets(k - 1):
+        closed = [0]
+        for i, row in enumerate(rows):
+            closed += [s | 1 << i for s in closed if row & ~s == 1 << i]
+        for s in closed:
+            ext = rows + (s | 1 << (k - 1),)
+            bits, perms = _scan(k, ext)
             if bits not in found:
-                found[bits] = (tuple(rows), _auts(perms))
+                found[bits] = (ext, _auts(perms))
     return tuple(found[bits] for bits in sorted(found))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _expand(rows: Sequence[int], sizes: Sequence[int]) -> Space:
-    names = []
-    cls = []
-    for i, s in enumerate(sizes):
-        for _ in range(s):
-            names.append(f"q{len(names)}")
-            cls.append(i)
-    rel = [
-        (names[x], names[y])
-        for x in range(len(names))
-        for y in range(len(names))
-        if (rows[cls[x]] >> cls[y]) & 1
-    ]
-    return Space(names, rel)
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 
 
 def _spaces_of_size(m: int) -> list[Space]:
+    """The spaces of m points in key order: each poset of k classes with
+    class sizes from each composition of m into k parts, one per orbit of
+    the poset's automorphisms, expanded into the up rows of m points."""
     if m == 0:
-        return [Space.empty()]
-    results: dict[tuple[int, int], Space] = {}
+        return [_space_from_enc(0, 0)]
+    keys = set()
     for k in range(1, m + 1):
         for rows, auts in _posets(k):
-            reps = {
-                min(tuple(sizes[a[i]] for i in range(k)) for a in auts)
-                for sizes in _compositions(m, k)
-            }
-            for sizes in reps:
-                sp = _expand(rows, sizes)
-                key, perms = _canon(sp)
-                if key not in results:
-                    results[key] = _space_from_enc(*key)
-    return [results[key] for key in sorted(results)]
+            for sizes in {min(tuple(sizes[a[i]] for i in range(k)) for a in auts)
+                          for sizes in _compositions(m, k)}:
+                masks = [(1 << end) - (1 << end - size)  # the points of each class
+                         for size, end in zip(sizes, itertools.accumulate(sizes))]
+                up = [sum(c for j, c in enumerate(masks) if row >> j & 1)
+                      for row, size in zip(rows, sizes) for _ in range(size)]
+                keys.add(_scan(m, up)[0])
+    return [_space_from_enc(m, bits) for bits in sorted(keys)]
 
 
 def enumerate_spaces(n: int) -> tuple[Space, ...]:

@@ -61,6 +61,21 @@ def labeled_preorders(n):
             yield rows
 
 
+def oracle_posets(k):
+    """Canonical keys of the posets on k points, in increasing order: every
+    upper-triangular relation on k points that is transitive, by key."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    keys = set()
+    for mask in range(1 << len(pairs)):
+        rows = [1 << i for i in range(k)]
+        for bit, (i, j) in enumerate(pairs):
+            if (mask >> bit) & 1:
+                rows[i] |= 1 << j
+        if _close(k, rows[:]) == rows:
+            keys.add(_scan(k, rows)[0])
+    return sorted(keys)
+
+
 def brute_force_automorphisms(space):
     n = len(space.points)
     up = space.up
@@ -222,10 +237,16 @@ class TestPermutationScan:
             for sp in (space, Space(space.points[::-1], space.rel)):
                 assert automorphisms(sp) == brute_force_automorphisms(sp)
 
-    @pytest.mark.parametrize("k, count", enumerate([1, 1, 2, 5, 16, 63, 318]))
+    @pytest.mark.parametrize("k, count", enumerate([1, 1, 2, 5, 16, 63, 318, 2045]))
     def test_poset_counts(self, k, count):
         # OEIS A000112: posets on k unlabeled points
         assert len(_posets(k)) == count
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_posets_match_the_mask_filter(self, k):
+        # one-point extension finds the iso classes the filter keeps, and
+        # lists them in the same order
+        assert [_scan(k, rows)[0] for rows, _ in _posets(k)] == oracle_posets(k)
 
     def test_poset_automorphism_groups(self):
         for k in range(5):

@@ -37,6 +37,22 @@ def test_no_permutation_scan_in_the_package():
     assert found == []
 
 
+def test_space_catalog_is_built_from_rows():
+    # posets come from one-point extension, so no transitivity filter runs,
+    # and spaces are keyed from expanded rows, so no throwaway space is built
+    tree = ast.parse((SRC / "universe.py").read_text())
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    calls = [
+        (fn.name, ast.unparse(node.func))
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_posets", "_spaces_of_size")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[0] == "Space"
+    ]
+    assert "_close" not in imported and calls == []
+
+
 def test_cache_files_are_read_and_written_only_through_artifact():
     # every cached artifact gets the same load check: no loader of its own
     calls = []

@@ -149,9 +149,23 @@ class TestSpaceEnumeration:
                     if b == c:
                         assert (a, d) in s.rel
 
+    def test_cold_catalog_at_7_has_the_oeis_counts(self, tmp_path, monkeypatch):
+        # OEIS A001930; the loader checks a cached catalog's counts, and
+        # this checks a freshly built one
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        import ftop.universe as uni
+
+        monkeypatch.setattr(uni, "_MEMO", {})
+        spaces = enumerate_spaces(7)
+        per_size = {}
+        for s in spaces:
+            per_size[len(s.points)] = per_size.get(len(s.points), 0) + 1
+        assert per_size == {0: 1, 1: 1, 2: 3, 3: 9, 4: 33, 5: 139, 6: 718, 7: 4535}
+        assert len({space_key(s) for s in spaces}) == len(spaces)
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            enumerate_spaces(7)
+            enumerate_spaces(8)
         with pytest.raises(ValueError):
             enumerate_spaces(-1)
 
