@@ -10,9 +10,9 @@ call; ``lifts`` and ``lifts_bool`` fill its squares in order, each through
 ``first_solution``, and stop at the first unfillable one.  A sweep's
 rows count squares instead: the fillable ones are the distinct (h∘i, g∘h) over
 h: X -> Y, and i lifts iff no group of squares, by phi in ``_left_decide`` or
-by f in ``_right_decide``, outnumbers its fillable ones.  A sweep runs over
-a universe's blocks: a member's kernel, its tables, is looked up once per run
-of candidates from one block, and each decision reads an index tuple.
+by f in ``_right_decide``, outnumbers its fillable ones.  A sweep's unit is
+a universe's block: per block a member's kernel, its tables, is looked up
+once and the member order restarts; each decision reads an index tuple.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from .universe import (
 )
 
 MATRIX_MAX_N = 3  # largest bound for the pairwise lifting matrix
-STEP_BLOCK = 64  # positions per work item of a _step
 # the estimated work of a _step (see _pays) from which forking two cold workers
 # pays; below it the step runs in this process: every step over universe(3)
 # (at most 2 x 661 x 8^3), not the lifting matrix, universe(4) or spaces(5)
@@ -359,8 +358,7 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
                      lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
-def _keep(u: Universe, rows: Sequence[tuple], tables: dict,
-          ks: Sequence[int]) -> tuple[list, Counter]:
+def _keep(u: Universe, rows: Sequence[tuple], ks: Sequence[int]) -> tuple[list, Counter]:
     """Per row (members, letter), the k of ``ks`` whose map ``u.map_at(k)``
     lifts against every member (letter "l") or that every member lifts
     against (letter "r"), in ``ks`` order.  A row (members, letter,
@@ -368,30 +366,26 @@ def _keep(u: Universe, rows: Sequence[tuple], tables: dict,
     predicate of the map.  The members are no isomorphisms (``_step``
     drops those).
 
-    The k are read as runs of one block of ``u`` (``Universe.runs``), so
-    every candidate of a run has the same spaces: per run a member's kernel,
-    ``_left_kernel`` or ``_right_kernel``, looks up its tables once, reading
-    and filling ``tables``, and ``_left_decide`` or ``_right_decide`` decides
-    each candidate on its index tuple.  Only an
+    The k are read one run of one block at a time (``Universe.runs``): per
+    run a member's kernel, ``_left_kernel`` or ``_right_kernel``, looks up
+    its tables once, in a dict this call owns, and ``_left_decide`` or
+    ``_right_decide`` decides each candidate on its index tuple.  Only an
     endomorphism can be an isomorphism; those lift both ways against every
     map, so they are kept as candidates without a search.  A candidate's
     test stops at the first refuting member, and each row tries first the
-    member that last refuted a candidate; a row's order depends only on its
-    own candidates, so the rows are swept one after the other.  A map is
-    built (unchecked) only for the predicates.
+    member that last refuted a candidate of the run, so cutting increasing
+    ``ks`` at block boundaries changes neither kept k nor decisions.  A map
+    is built (unchecked) only for the predicates.
     Returns the kept k per row and the number of decisions made per letter."""
-    sp, preds = u.spaces, any(len(row) > 2 for row in rows)
-    runs = [(si, di, run, ts,
-             [si == di and is_isomorphism(_cmap(sp[si], sp[di], t)) for t in ts],
-             [_cmap(sp[si], sp[di], t) for t in ts] if preds else ())
-            for si, di, run, ts in u.runs(ks)]
-    kept, made = [], Counter()
-    for members, letter, *pred in rows:
-        kernel, decide = ((_left_kernel, _left_decide) if letter == "l"
-                          else (_right_kernel, _right_decide))
-        order, keep, tried = list(range(len(members))), [], 0
-        for si, di, run, ts, isos, cmaps in runs:
-            kernels = {}  # per member tried in the run
+    sp, preds, tables = u.spaces, any(len(row) > 2 for row in rows), {}
+    kept, made = [[] for _ in rows], Counter()
+    for si, di, run, ts in u.runs(ks):
+        isos = [si == di and is_isomorphism(_cmap(sp[si], sp[di], t)) for t in ts]
+        cmaps = [_cmap(sp[si], sp[di], t) for t in ts] if preds else ()
+        for (members, letter, *pred), keep in zip(rows, kept):
+            kernel, decide = ((_left_kernel, _left_decide) if letter == "l"
+                              else (_right_kernel, _right_decide))
+            order, kernels, tried = range(len(members)), {}, 0  # kernels: per member tried
             for p, t in enumerate(ts):
                 lifted = True
                 for pos, c in enumerate(() if isos[p] else order):
@@ -400,15 +394,21 @@ def _keep(u: Universe, rows: Sequence[tuple], tables: dict,
                     if got is None:
                         got = kernels[c] = kernel(members[c], sp[si], sp[di], tables)
                     if not decide(got, t):
-                        if pos:
+                        if pos:  # the refuter goes first; the order is copied at its first move
+                            order = order if type(order) is list else list(order)
                             order.insert(0, order.pop(pos))
                         lifted = False
                         break
                 if lifted != (bool(pred) and pred[0](cmaps[p])):
                     keep.append(run[p])
-        kept.append(keep)
-        made[letter] += tried
+            made[letter] += tried
     return kept, made
+
+
+def _blocks_in(u: Universe, ks: Sequence[int]) -> list[tuple[int, int]]:
+    """(block, position in increasing ``ks`` of its first k) per block of ``u`` with a k."""
+    at = [bisect_left(ks, start) for start in u._starts]
+    return [(b, lo) for b, (lo, hi) in enumerate(zip(at, at[1:])) if lo < hi]
 
 
 def _pays(u: Universe, rows: Sequence[tuple], ks: Sequence[int]) -> bool:
@@ -417,33 +417,33 @@ def _pays(u: Universe, rows: Sequence[tuple], ks: Sequence[int]) -> bool:
     worker fills the rows' tables again, and at n=3 that filling is most of
     a step."""
     scale, size = len(rows) * len(ks), [len(s.points) for s in u.spaces]
-    return any(scale << 3 * max(size[si], size[di]) >= POOL_MIN_WORK
-               for (si, di, _), start, end in zip(u.blocks, u._starts, u._starts[1:])
-               if bisect_left(ks, start) < bisect_left(ks, end))  # a candidate in the block
+    return any(scale << 3 * max(size[u.blocks[b][0]], size[u.blocks[b][1]]) >= POOL_MIN_WORK
+               for b, _ in _blocks_in(u, ks))
 
 
 def _step(u: Universe, rows: Sequence[tuple], jobs: int,
           ks: Optional[Sequence[int]] = None) -> list[tuple[int, ...]]:
     """Per row, the tuple of the k in ``ks``, increasing (default: every map
     of ``u``), that ``_keep`` keeps.  The rows' isomorphic members are
-    dropped once; the k are swept in fixed blocks of ``STEP_BLOCK``, one
-    pool for all rows if the step pays for it (``_pays``), else in this
-    process.  The orders of the members restart in each block, so verdicts
-    and the lifting decisions made are the same for every ``jobs``; they
-    are added to ``DECISIONS`` in this process.  The step owns one dict of
-    the kernels' tables: inline it serves every block, a forked worker
-    fills its own copy, and it dies when the step returns, while ``u`` and
-    ``rows`` keep alive every object it is keyed by.
+    dropped once.  If the step pays for a pool (``_pays``), ``pmap`` gets one
+    contiguous share of ``ks`` per worker, cut at the block boundaries
+    nearest to equal counts; else ``ks`` is one ``_keep`` call in this
+    process.  As ``_keep`` restarts member orders per block, verdicts and
+    the decisions made, added to ``DECISIONS`` here, are the same for every
+    ``jobs``.  Each ``_keep`` call owns its share's tables, keyed by objects
+    that ``u`` and ``rows`` keep alive.
     This is the only caller of ``pmap``."""
     from ._parallel import pmap
 
     ks = range(len(u)) if ks is None else ks
     rows = [([c for c in members if not is_isomorphism(c)], *rest) for members, *rest in rows]
-    blocks = pmap(partial(_keep, u, rows, {}),
-                  [ks[s:s + STEP_BLOCK] for s in range(0, len(ks), STEP_BLOCK)],
-                  jobs if _pays(u, rows, ks) else 1)
-    DECISIONS.update(sum((made for _, made in blocks), Counter()))
-    return [tuple(k for kept, _ in blocks for k in kept[r]) for r in range(len(rows))]
+    procs = max(1, jobs) if _pays(u, rows, ks) else 1
+    at = [lo for _, lo in _blocks_in(u, ks)]
+    cuts = [0, *sorted({min(at, key=lambda lo: abs(lo * procs - w * len(ks)))
+                        for w in range(1, procs)}), len(ks)]
+    got = pmap(partial(_keep, u, rows), [ks[a:b] for a, b in zip(cuts, cuts[1:]) if a < b], procs)
+    DECISIONS.update(sum((made for _, made in got), Counter()))
+    return [tuple(k for kept, _ in got for k in kept[r]) for r in range(len(rows))]
 
 
 def _words(base: tuple) -> tuple[dict, tuple]:

@@ -124,12 +124,6 @@ class Registry:
             return sub(int(m.group(2)))
         raise KeyError(f"unknown map name {name!r}")
 
-    def object(self, name: str) -> Space | CMap:
-        try:
-            return self.map(name)
-        except KeyError:
-            return self.space(name)
-
 
 _REGISTRY = Registry()
 

@@ -404,20 +404,23 @@ class Universe:
         si, di, codes = self.blocks[b]
         return si, di, self._table(si, di)[codes[k - self._starts[b]]]
 
-    def runs(self, ks: Iterable[int]) -> list[tuple[int, int, list[int], list[tuple[int, ...]]]]:
+    def runs(self, ks: Iterable[int]) -> Iterator[tuple[int, int, list[int], list[tuple]]]:
         """The maps at the indices ``ks``, in ``ks`` order, as maximal runs
-        from one block: (source index, target index, indices, index tuples)."""
-        out, start, end = [], 0, 0
+        from one block, yielded one at a time: (source index, target index,
+        indices, index tuples)."""
+        run, start, end = None, 0, 0
         for k in ks:
             if not start <= k < end:
+                if run is not None:
+                    yield run
                 b = bisect.bisect_right(self._starts, k) - 1
                 start, end = self._starts[b], self._starts[b + 1]
                 si, di, codes = self.blocks[b]
                 table, run = self._table(si, di), (si, di, [], [])
-                out.append(run)
             run[2].append(k)
             run[3].append(table[codes[k - start]])
-        return out
+        if run is not None:
+            yield run
 
     def map_at(self, k: int) -> CMap:
         """Map k, built afresh."""

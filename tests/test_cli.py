@@ -67,6 +67,15 @@ class TestOrthCommand:
         members = [parse_map(line) for line in out[1:]]
         assert members and all(surjective(m) for m in members)
 
+    def test_jobs_below_one_run_inline_with_the_same_lines(self, capsys):
+        # the universe(4) step pays for a pool, and a worker count below 1
+        # cuts no shares: it runs in this process, as --jobs 1 does
+        out = {}
+        for jobs in ("0", "-1", "1"):
+            assert main(["orth", "-P", "{}-->{o}", "-w", "r", "-n", "4", "--jobs", jobs]) == 0
+            out[jobs] = capsys.readouterr().out.splitlines()
+        assert out["0"] == out["-1"] == out["1"] and len(out["1"]) > 1000
+
     def test_caveat_header_for_long_words(self, capsys):
         rc = main(["orth", "-P", "{}-->{o}", "-w", "rr", "-n", "2", "--jobs", "1"])
         assert rc == 0

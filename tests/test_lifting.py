@@ -15,8 +15,9 @@ from ftop.errors import CapacityError, MapError
 from ftop.lifting import (
     BoundedClass,
     LiftCertificate,
-    STEP_BLOCK,
     Square,
+    _blocks_in,
+    _keep,
     _left_decide,
     _left_kernel,
     _pays,
@@ -583,13 +584,14 @@ class TestRelativeOrthogonal:
             assert got == matrix_word(BASES[base], word, 2, rows), word
 
     def test_decisions_of_a_word_are_pinned(self):
-        # each row tries first the member that last refuted a map; without
-        # that move-to-front the l letters of rll make 6 559 decisions
+        # each row tries first the member that last refuted a map of the
+        # block; without that move-to-front the l letters of rll make 6 559
+        # decisions
         import ftop.lifting as lifting
 
         before = lifting.DECISIONS.copy()
         relative_orthogonal([parse_map("{}-->{o}")], "rll", 3, jobs=1)
-        assert dict(lifting.DECISIONS - before) == {"l": 5600, "r": 647}
+        assert dict(lifting.DECISIONS - before) == {"l": 6044, "r": 647}
 
     def test_repeated_first_letter_is_not_swept_again(self):
         import ftop.lifting as lifting
@@ -742,9 +744,8 @@ class TestStep:
         rows = [(members, "l"), (members, "r"), (members, "l", surjective),
                 (members, "r", injective), ([M_TO_LAMBDA], "l", injective)]
         ks = range(3, len(u), 2)
-        # the positions cross blocks, and some STEP_BLOCK cut falls inside one
-        assert any(u.triple(ks[s - 1])[:2] == u.triple(ks[s])[:2]
-                   for s in range(STEP_BLOCK, len(ks), STEP_BLOCK))
+        # the positions cross blocks, and some block holds several of them
+        assert 1 < len(_blocks_in(u, ks)) < len(ks)
         before = lifting.DECISIONS.copy()
         got = _step(u, rows, jobs, ks)
         want, made = oracle_keep(u, rows, ks)
@@ -755,6 +756,21 @@ class TestStep:
                 lifts_bool(u.map_at(k), c) if letter == "l" else lifts_bool(c, u.map_at(k))
                 for c in row_members) != (bool(pred) and pred[0](u.map_at(k))))
             assert kept == expect
+
+    @pytest.mark.parametrize("ks", [range(661), range(1, 661, 2)], ids=["all", "odd"])
+    def test_keep_is_the_same_cut_at_any_block_boundary(self, ks):
+        # member orders restart at every block, so a step may cut ks at any
+        # block boundary: one _keep over ks keeps and decides what its block
+        # slices keep and decide together
+        u = get_universe(3)
+        members = [c for c in map(u.map_at, range(5, len(u), 23)) if not is_isomorphism(c)]
+        rows = [(members, "l"), (members, "r")]
+        at = [lo for _, lo in _blocks_in(u, ks)] + [len(ks)]
+        parts = [_keep(u, rows, ks[a:b]) for a, b in zip(at, at[1:])]
+        kept, made = _keep(u, rows, ks)
+        assert kept == [[k for part, _ in parts for k in part[r]] for r in range(len(rows))]
+        assert made == sum((part for _, part in parts), Counter())
+        assert made["l"] > 0 and made["r"] > 0
 
     @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -771,27 +787,27 @@ class TestStep:
 
 
 def oracle_keep(u, rows, ks):
-    """Oracle: the per-map sweep the block sweep replaced.  Per STEP_BLOCK
-    positions, with fresh tables and member orders, each map against each
-    row in turn through the per-map kernels, isomorphisms kept without a
-    decision; (kept positions per row, decisions per letter)."""
-    kept, made = [[] for _ in rows], Counter()
-    for s in range(0, len(ks), STEP_BLOCK):
-        tables = {}
-        orders = [[c for c in row[0] if not is_isomorphism(c)] for row in rows]
-        for k in ks[s:s + STEP_BLOCK]:
-            m = u.map_at(k)
-            for r, (order, (_, letter, *pred)) in enumerate(zip(orders, rows)):
-                lifted = True
-                for pos, c in enumerate(() if is_isomorphism(m) else order):
-                    made[letter] += 1
-                    if not (_lifts_left(m, c, tables) if letter == "l"
-                            else _lifts_right(c, m, tables)):
-                        order.insert(0, order.pop(pos))
-                        lifted = False
-                        break
-                if lifted != (bool(pred) and pred[0](m)):
-                    kept[r].append(k)
+    """Oracle: the per-map sweep the block sweep replaced.  Each map against
+    each row in turn through the per-map kernels, with member orders that
+    restart at every catalog block, isomorphisms kept without a decision;
+    (kept positions per row, decisions per letter)."""
+    kept, made, tables, block = [[] for _ in rows], Counter(), {}, None
+    for k in ks:
+        m = u.map_at(k)
+        if u.triple(k)[:2] != block:
+            block = u.triple(k)[:2]
+            orders = [[c for c in row[0] if not is_isomorphism(c)] for row in rows]
+        for r, (order, (_, letter, *pred)) in enumerate(zip(orders, rows)):
+            lifted = True
+            for pos, c in enumerate(() if is_isomorphism(m) else order):
+                made[letter] += 1
+                if not (_lifts_left(m, c, tables) if letter == "l"
+                        else _lifts_right(c, m, tables)):
+                    order.insert(0, order.pop(pos))
+                    lifted = False
+                    break
+            if lifted != (bool(pred) and pred[0](m)):
+                kept[r].append(k)
     return [tuple(row) for row in kept], made
 
 
@@ -824,10 +840,34 @@ class TestPool:
             relative_orthogonal([parse_map("{}-->{o}")], word, n, jobs=2)
             return {k: POOL[k] - before[k] for k in ("calls", "items", "forked")}
 
-        blocks = -(-len(get_universe(3)) // STEP_BLOCK)
-        assert counted("rll", 3) == {"calls": 3, "items": 3 * blocks, "forked": 0}
-        blocks = -(-len(get_universe(4)) // STEP_BLOCK)
-        assert counted("l", 4) == {"calls": 1, "items": blocks, "forked": 1}
+        # a step that runs inline is one item, a pool one share per worker
+        assert counted("rll", 3) == {"calls": 3, "items": 3, "forked": 0}
+        assert counted("l", 4) == {"calls": 1, "items": 2, "forked": 1}
+
+    @pytest.mark.usefixtures("forked_steps")
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_one_share_per_worker_cut_at_block_boundaries(self, jobs, monkeypatch):
+        import ftop._parallel as parallel
+
+        real, seen = parallel.pmap, []
+
+        def probe(fn, items, procs):
+            seen.append((items, procs))
+            return real(fn, items, procs)
+
+        monkeypatch.setattr(parallel, "pmap", probe)
+        u = get_universe(3)
+        ks = range(2, len(u), 2)
+        _step(u, [([M_TO_LAMBDA], "l")], jobs, ks)
+        (shares, procs), = seen
+        assert procs == len(shares) == jobs
+        assert [k for share in shares for k in share] == list(ks)
+        # each cut is the block boundary nearest to an equal count
+        at = [lo for _, lo in _blocks_in(u, ks)]
+        cuts = list(itertools.accumulate(map(len, shares)))[:-1]
+        for w, cut in enumerate(cuts, 1):
+            assert cut in at
+            assert abs(cut * jobs - w * len(ks)) == min(abs(lo * jobs - w * len(ks)) for lo in at)
 
 
 def _lifts_left(i, g, tables):
@@ -911,22 +951,20 @@ class TestLeftRows:
     @pytest.mark.usefixtures("forked_steps")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_prepared_members_die_with_the_step(self, jobs, monkeypatch):
-        # the step's tables dict is bound into the _keep partial: the workers
-        # of a forked step fill their own copies, so the parent's stays
-        # empty; an inline step fills it, and it dies when the step returns
+        # each _keep call owns its tables: the partial handed to pmap binds
+        # only the universe and the rows, and the tables die with the call
         import ftop._parallel as parallel
 
         real, seen = parallel.pmap, []
 
         def probe(fn, items, jobs):
-            out = real(fn, items, jobs)
-            seen.append(len(fn.args[2]))
-            return out
+            seen.append(len(fn.args))
+            return real(fn, items, jobs)
 
         monkeypatch.setattr(parallel, "pmap", probe)
         member = parse_map("{left_a<-left_u->left_b}-->{left_a=left_u->left_b}")
         _step(get_universe(3), [([member], "l")], jobs)
-        assert (seen[0] == 0) == (jobs == 2)
+        assert seen == [2]
         del member
         assert spaces_alive("left_") == 0
 

@@ -78,12 +78,12 @@ def test_pmap_is_called_only_by_the_lifting_step():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pmap"
     ]
-    assert calls == [("lifting.py", "_step", "partial(_keep, u, rows, {})")]
+    assert calls == [("lifting.py", "_step", "partial(_keep, u, rows)")]
 
 
 def test_lifting_keeps_no_step_state_in_module_globals():
-    # a step's tables live in a dict the step owns and drops, so the only
-    # module-level container of lifting.py is the decision counter
+    # a step's tables live in a dict each _keep call owns and drops, so the
+    # only module-level container of lifting.py is the decision counter
     from ftop import lifting
 
     found = {name for name, value in vars(lifting).items()
@@ -268,7 +268,7 @@ from ftop.universe import get_universe
 lifting.POOL_MIN_WORK = 0  # the n=3 steps fork at jobs=2, as larger ones do
 get_universe(3)
 runs = []
-for jobs in (1, 2):
+for jobs in (1, 2, 3):
     before, made = tracer.metrics(), dict(lifting.DECISIONS)
     cls = lifting.relative_orthogonal([parse_map("{}-->{o}")], "rll", 3, jobs=jobs)
     after = tracer.metrics()
@@ -284,11 +284,10 @@ def test_word_step_counts_do_not_depend_on_jobs():
     out = subprocess.run([sys.executable, "-c", _STEP_TRACE], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    (idx1, *made1, squares1, forked1), (idx2, *made2, squares2, forked2) = json.loads(
-        out.stdout.splitlines()[-1])
-    assert forked1 == 0 and forked2 > 0  # the second run really used a pool
-    assert (idx1, made1, squares1) == (idx2, made2, squares2)
-    assert len(idx1) == 514 and min(made1) > 0  # both letters decided
+    (idx, *made, squares, forked), *pooled = json.loads(out.stdout.splitlines()[-1])
+    assert forked == 0 and all(run[-1] > 0 for run in pooled)  # two and three shares forked
+    assert all(run[:-1] == [idx, *made, squares] for run in pooled)
+    assert len(idx) == 514 and min(made) > 0  # both letters decided
 
 
 def test_parser_has_one_tokenizer_and_no_parser_objects():

@@ -293,14 +293,14 @@ class TestMapUniverse:
         u = get_universe(3)
         triples = [u.triple(k) for k in range(len(u))]
         for ks in (range(len(u)), range(1, len(u), 3), [5, 4, 3, 600, 2, 2], []):
-            runs = u.runs(ks)
+            runs = list(u.runs(ks))
             assert [k for _, _, run, _ in runs for k in run] == list(ks)
             for si, di, run, ts in runs:
                 assert [triples[k] for k in run] == [(si, di, t) for t in ts]
             # maximal: neighbouring runs come from different blocks
             for a, b in zip(runs, runs[1:]):
                 assert a[:2] != b[:2]
-        assert len(u.runs(range(len(u)))) == len(u.blocks)
+        assert len(list(u.runs(range(len(u))))) == len(u.blocks)
 
     def test_triple_is_a_sequence_index(self):
         u = get_universe(3)
