@@ -204,8 +204,10 @@ def _right_kernel(i: CMap, Y: Space, B: Space, tables: dict) -> tuple:
     (X, i's index tuple), the phis counted by phi∘i per B and the h grouped
     by h∘i per Y.  hom(A, Y) is taken from the enumeration memo if it is
     there, else each decision streams it, so a pair no decision ran to its
-    end keeps nothing.  ``tables`` is keyed by the ids of the spaces of the
-    maps it was filled for, so it may not outlive those maps."""
+    end keeps nothing.  Like ``_squares``, a decision reads the memo
+    itself, so no count of ``enum_hom`` calls depends on what the memo holds.
+    ``tables`` is keyed by the ids of the spaces of the maps it was filled
+    for, so it may not outlive those maps."""
     A, X, it = i.src, i.dst, i.as_tuple()
     phis = tables.get(("r", id(X), id(B), it))
     if phis is None:
@@ -215,16 +217,16 @@ def _right_kernel(i: CMap, Y: Space, B: Space, tables: dict) -> tuple:
         groups, part = tables.setdefault(("h", id(X), id(Y), it), {}), _restrictor(it)
         for h in hom(X, Y):
             groups.setdefault(part(h), []).append(h)
-    fs = enum_hom(A, Y)  # the memo's tuple once complete, else an unstarted stream
-    return A, Y, fs if isinstance(fs, tuple) else None, phis, groups
+    return A, Y, ((1 << len(Y.points)) - 1,) * len(A.points), _table(A, Y, "enum"), phis, groups
 
 
 def _right_decide(kernel: tuple, gt: tuple[int, ...]) -> bool:
     """Whether the member of ``kernel``, a ``_right_kernel``, lifts against
     the map with index tuple ``gt``: one pass over hom(A, Y) stops at the
     first f with more phis over g∘f than distinct g∘h."""
-    A, Y, fs, phis, groups = kernel
-    for f in enum_hom(A, Y) if fs is None else fs:
+    A, Y, key, enum, phis, groups = kernel
+    fs = enum.get(key)  # hom(A, Y) once a decision ran it to its end
+    for f in _recorded(A, Y, key, enum) if fs is None else fs:
         n = phis.get(tuple([gt[y] for y in f]))
         if n is not None:
             hs = groups.get(f, ())
@@ -432,7 +434,8 @@ def _step(u: Universe, rows: Sequence[tuple], jobs: int,
     the decisions made, added to ``DECISIONS`` here, are the same for every
     ``jobs``.  Each ``_keep`` call owns its share's tables, keyed by objects
     that ``u`` and ``rows`` keep alive.
-    This is the only caller of ``pmap``."""
+    Besides ``verify.run_suite``, which forks by suite, this is the only
+    caller of ``pmap``."""
     from ._parallel import pmap
 
     ks = range(len(u)) if ks is None else ks

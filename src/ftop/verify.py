@@ -24,6 +24,14 @@ Every lifting sweep is rows of one ``lifting._step``: a ladder word's
 letters, or a suite's ``_SWEEPS`` rows over one subject, mlambda's
 subdivision checks among them.  Factorization coverage is enumerated by
 composition.
+
+``--jobs`` is spent once, at the coarsest grain with independent work.  A
+single suite forks by step, through ``_step``.  ``run_suite("all")`` hands
+``pmap`` whole suites instead, the items of ``_ITEMS``, whose steps run
+inline in the worker, so claim runtimes of different suites overlap.
+Suites reading one word memo share an item.  Each item sends back the
+``DECISIONS`` and ``POOL`` counts it made, and the caller adds them once,
+so the counters read the same for every ``jobs``.
 """
 from __future__ import annotations
 
@@ -32,7 +40,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Optional
 
-from .lifting import _step, factoring_maps, is_retract_of, relative_orthogonal
+from ._parallel import POOL, pmap
+from .lifting import DECISIONS, _step, factoring_maps, is_retract_of, relative_orthogonal
 from .parser import render
 from .properties import (
     admits_section,
@@ -486,16 +495,40 @@ _SUITES: dict[str, Callable] = {name: partial(_run_claims, name) for name in _BO
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
+# the items of run_suite("all"), in report order of their first suites.
+# Suites whose classes are over one base read one word memo, so they share
+# an item and decisions do not depend on the cut: every lemma21 word is an
+# appendix32 word, and mlambda's left class is factorization's at one bound
+_ITEMS = (("lemma21", "appendix32"), ("closed_proper",), ("archetypes",), ("normality",),
+          ("mlambda", "factorization"), ("figure2",), ("subdivision",), ("retract",))
+
+
+def _run_item(n: Optional[int], names: tuple[str, ...]) -> tuple[list, list]:
+    """Per suite of ``names``, (name, (bound used, claims)), its steps inline,
+    and the ``DECISIONS`` and ``POOL`` counts they made.  The counts are
+    taken back out of this process's counters, so that the caller adds
+    them once, whether the item ran in a worker or inline."""
+    counters = (DECISIONS, POOL)
+    before = [counter.copy() for counter in counters]
+    got = [(name, _SUITES[name](n, 1)) for name in names]
+    made = [counter - was for counter, was in zip(counters, before)]
+    for counter, was in zip(counters, before):
+        counter.clear()
+        counter.update(was)
+    return got, made
+
 
 def run_suite(name: str, n: Optional[int] = None, jobs: int = 1) -> SuiteReport:
     """Run a named verification suite and return its report."""
     if name == "all":
-        claims = []
-        bound = 0
-        for sub_name, fn in _SUITES.items():
-            used_n, sub_claims = fn(n, jobs)
-            bound = max(bound, used_n)
-            claims.extend(replace(c, claim_id=f"{sub_name}.{c.claim_id}") for c in sub_claims)
+        runs = {}
+        for got, (decisions, pool) in pmap(partial(_run_item, n), _ITEMS, jobs):
+            DECISIONS.update(decisions)
+            POOL.update(pool)
+            runs.update(got)
+        claims = [replace(c, claim_id=f"{sub_name}.{c.claim_id}")
+                  for sub_name in _BOUNDS for c in runs[sub_name][1]]
+        bound = max(used_n for used_n, _ in runs.values())
         return SuiteReport("all", bound, jobs, tuple(claims))
     if name not in _SUITES:
         raise ValueError(

@@ -206,6 +206,14 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "mlambda", "-n", "5", "--jobs", "1"]) == 3
         assert list(tmp_path.glob("maps_n5_*")) == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_all_over_its_cap_exits_3_at_any_jobs(self, jobs, capsys, tmp_path, monkeypatch):
+        # the first item, lemma21's ladder, refuses n=5; forked, its worker's
+        # error is raised here and the other worker is stopped
+        monkeypatch.setenv("FTOP_CACHE_DIR", str(tmp_path))
+        assert main(["verify", "--suite", "all", "-n", "5", "--jobs", jobs]) == 3
+        assert capsys.readouterr().err == "capacity error: map universe sweep at n=5\n"
+
     def test_suite_with_bound(self, capsys):
         rc = main(["verify", "--suite", "lemma21", "-n", "2", "--jobs", "1"])
         assert rc == 0

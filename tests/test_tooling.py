@@ -67,9 +67,10 @@ def test_cache_files_are_read_and_written_only_through_artifact():
                              ("universe.py", "_artifact", "_save_cache")]
 
 
-def test_pmap_is_called_only_by_the_lifting_step():
-    # every sweep is rows of lifting._step, so the pool has one caller, and
-    # it hands over a partial of a module-level function, not a closure
+def test_pmap_is_called_only_by_the_lifting_step_and_the_suite_runner():
+    # every sweep is rows of lifting._step, and verify --suite all forks by
+    # suite instead, so the pool has two callers, and each hands over a
+    # partial of a module-level function, not a closure
     calls = [
         (path.name, getattr(top, "name", None), ast.unparse(node.args[0]))
         for path in sorted(SRC.glob("*.py"))
@@ -78,7 +79,8 @@ def test_pmap_is_called_only_by_the_lifting_step():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pmap"
     ]
-    assert calls == [("lifting.py", "_step", "partial(_keep, u, rows)")]
+    assert calls == [("lifting.py", "_step", "partial(_keep, u, rows)"),
+                     ("verify.py", "run_suite", "partial(_run_item, n)")]
 
 
 def test_lifting_keeps_no_step_state_in_module_globals():
@@ -254,6 +256,46 @@ def test_benchmark_tracer_binds_to_the_package(tmp_path):
     assert metrics["lifting.recheck.calls"] == 1
     assert metrics["universe.cache_save.calls"] > 0
     assert metrics["universe.cache_bytes_written"] > 0
+
+
+# the traced calls of each suite and the traced deltas of one run of every
+# suite at n=2; the catalogs are loaded first, as the benchmark loads them,
+# so no worker loads one again
+_SUITE_TRACE = """
+import json, sys
+from layers import SUITES, Tracer
+tracer = Tracer()
+tracer.install()
+from ftop.universe import get_universe
+from ftop.verify import run_suite
+get_universe(2)
+before = tracer.metrics()
+run_suite("all", n=2, jobs=int(sys.argv[1]))
+after = tracer.metrics()
+print(json.dumps([{name: tracer.calls[f"verify.suite.{name}"] for name in SUITES},
+                  {name: after[name] - before[name] for name in after}]))
+"""
+
+
+def test_traced_suites_run_once_with_the_same_counts_at_any_jobs():
+    # forked by suite, each traced suite runs once, in a worker that ships
+    # its counts back, so every count the benchmark's traced runs compare
+    # reads as inline; only the pool's own figures may differ
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    counts = [m["name"] for m in spec["per_layer"]
+              if m["unit"] in ("count", "B") and not m["name"].startswith("parallel.")]
+    env = dict(os.environ, PYTHONPATH=f"{SRC.parent}{os.pathsep}{PERFBENCH}")
+    runs = []
+    for jobs in (1, 2):  # a fresh process each, so no word memo is warm
+        out = subprocess.run([sys.executable, "-c", _SUITE_TRACE, str(jobs)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        runs.append(json.loads(out.stdout.splitlines()[-1]))
+    (calls, serial), (pooled_calls, pooled) = runs
+    assert calls == pooled_calls == {name: 1 for name in calls} and len(calls) == 10
+    assert serial["parallel.pmap.forked_calls"] == 0 and pooled["parallel.pmap.forked_calls"] == 1
+    assert {k: serial[k] for k in counts} == {k: pooled[k] for k in counts}
+    assert serial["lifting.relative_orthogonal.calls"] > 0
 
 
 # the lifting decisions of one word's steps, with a fresh base at each jobs value

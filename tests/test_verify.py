@@ -1,9 +1,13 @@
 """Suite runner behavior: statuses, determinism, report schema."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ftop
 from ftop.verify import SUITE_NAMES, run_suite
 
 
@@ -181,3 +185,37 @@ def test_all_matches_golden_report(jobs):
     for claim in got["claims"]:
         del claim["runtime"]
     assert got == dict(want, jobs=jobs)
+
+
+# every suite at n=2 in a fresh process, so no word memo is warm: the report,
+# runtimes aside, and the DECISIONS and POOL counts the run made
+_ALL_N2 = """
+import json, sys
+from ftop import lifting
+from ftop._parallel import POOL
+from ftop.verify import run_suite
+lifting.POOL_MIN_WORK = 0  # a step handed jobs > 1 in a worker would fork
+report = run_suite("all", n=2, jobs=int(sys.argv[1])).to_json()
+for claim in report["claims"]:
+    del claim["runtime"]
+print(json.dumps([report, dict(lifting.DECISIONS), dict(POOL)]))
+"""
+
+
+def test_all_counts_and_answers_do_not_depend_on_jobs():
+    # at 12 every suite item has a worker of its own, so suites that share a
+    # word memo (lemma21 with appendix32, mlambda with factorization) must
+    # share an item
+    env = dict(os.environ, PYTHONPATH=str(Path(ftop.__file__).parents[1]))
+    runs = {}
+    for jobs in (1, 2, 3, 12):
+        out = subprocess.run([sys.executable, "-c", _ALL_N2, str(jobs)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        runs[jobs] = json.loads(out.stdout.splitlines()[-1])
+    report, made, pool = runs.pop(1)
+    assert pool.pop("forked", 0) == 0 and set(made) == {"l", "r"}
+    for jobs, (got, got_made, got_pool) in runs.items():
+        assert got == dict(report, jobs=jobs)
+        assert got_made == made
+        assert got_pool.pop("forked") == 1 and got_pool == pool
