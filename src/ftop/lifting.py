@@ -27,6 +27,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
+from ._parallel import DECISIONS
 from ._solve import _recorded, _search, _table, enum_hom, first_solution, hom
 from .errors import CapacityError, MapError
 from .space import (
@@ -139,9 +140,6 @@ def _walk(i: CMap, g: CMap, fillers: Optional[list]) -> Optional[tuple]:
 def lifts_bool(i: CMap, g: CMap) -> bool:
     """Decide i ⧄ g, short-circuiting on the first unfillable square."""
     return _walk(i, g, None) is None
-
-
-DECISIONS: Counter = Counter()  # lifting decisions made by _step's rows, per letter
 
 
 def _restrictor(pts: Sequence[int]):
@@ -360,7 +358,7 @@ def lifting_matrix(n: int, jobs: int = 1) -> list[int]:
                      lambda rows: {"n": n, "rows": [hex(r) for r in rows]})
 
 
-def _keep(u: Universe, rows: Sequence[tuple], ks: Sequence[int]) -> tuple[list, Counter]:
+def _keep(u: Universe, rows: Sequence[tuple], ks: Sequence[int]) -> list[list[int]]:
     """Per row (members, letter), the k of ``ks`` whose map ``u.map_at(k)``
     lifts against every member (letter "l") or that every member lifts
     against (letter "r"), in ``ks`` order.  A row (members, letter,
@@ -377,10 +375,9 @@ def _keep(u: Universe, rows: Sequence[tuple], ks: Sequence[int]) -> tuple[list, 
     test stops at the first refuting member, and each row tries first the
     member that last refuted a candidate of the run, so cutting increasing
     ``ks`` at block boundaries changes neither kept k nor decisions.  A map
-    is built (unchecked) only for the predicates.
-    Returns the kept k per row and the number of decisions made per letter."""
-    sp, preds, tables = u.spaces, any(len(row) > 2 for row in rows), {}
-    kept, made = [[] for _ in rows], Counter()
+    is built (unchecked) only for the predicates.  The decisions made are
+    added to ``DECISIONS``, per letter; returns the kept k per row."""
+    sp, preds, tables, kept = u.spaces, any(len(row) > 2 for row in rows), {}, [[] for _ in rows]
     for si, di, run, ts in u.runs(ks):
         isos = [si == di and is_isomorphism(_cmap(sp[si], sp[di], t)) for t in ts]
         cmaps = [_cmap(sp[si], sp[di], t) for t in ts] if preds else ()
@@ -403,8 +400,8 @@ def _keep(u: Universe, rows: Sequence[tuple], ks: Sequence[int]) -> tuple[list, 
                         break
                 if lifted != (bool(pred) and pred[0](cmaps[p])):
                     keep.append(run[p])
-            made[letter] += tried
-    return kept, made
+            DECISIONS[letter] += tried
+    return kept
 
 
 def _blocks_in(u: Universe, ks: Sequence[int]) -> list[tuple[int, int]]:
@@ -431,9 +428,9 @@ def _step(u: Universe, rows: Sequence[tuple], jobs: int,
     contiguous share of ``ks`` per worker, cut at the block boundaries
     nearest to equal counts; else ``ks`` is one ``_keep`` call in this
     process.  As ``_keep`` restarts member orders per block, verdicts and
-    the decisions made, added to ``DECISIONS`` here, are the same for every
-    ``jobs``.  Each ``_keep`` call owns its share's tables, keyed by objects
-    that ``u`` and ``rows`` keep alive.
+    the decisions it counts, which ``pmap`` brings back from workers, are
+    the same for every ``jobs``.  Each ``_keep`` call owns its share's
+    tables, keyed by objects that ``u`` and ``rows`` keep alive.
     Besides ``verify.run_suite``, which forks by suite, this is the only
     caller of ``pmap``."""
     from ._parallel import pmap
@@ -445,8 +442,7 @@ def _step(u: Universe, rows: Sequence[tuple], jobs: int,
     cuts = [0, *sorted({min(at, key=lambda lo: abs(lo * procs - w * len(ks)))
                         for w in range(1, procs)}), len(ks)]
     got = pmap(partial(_keep, u, rows), [ks[a:b] for a, b in zip(cuts, cuts[1:]) if a < b], procs)
-    DECISIONS.update(sum((made for _, made in got), Counter()))
-    return [tuple(k for kept, _ in got for k in kept[r]) for r in range(len(rows))]
+    return [tuple(k for kept in got for k in kept[r]) for r in range(len(rows))]
 
 
 def _words(base: tuple) -> tuple[dict, tuple]:

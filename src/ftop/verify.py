@@ -29,9 +29,9 @@ composition.
 single suite forks by step, through ``_step``.  ``run_suite("all")`` hands
 ``pmap`` whole suites instead, the items of ``_ITEMS``, whose steps run
 inline in the worker, so claim runtimes of different suites overlap.
-Suites reading one word memo share an item.  Each item sends back the
-``DECISIONS`` and ``POOL`` counts it made, and the caller adds them once,
-so the counters read the same for every ``jobs``.
+Suites reading one word memo share an item.  ``pmap`` brings a worker's
+counts back with its results, so the counters read the same for every
+``jobs``.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Optional
 
-from ._parallel import POOL, pmap
-from .lifting import DECISIONS, _step, factoring_maps, is_retract_of, relative_orthogonal
+from ._parallel import pmap
+from .lifting import _step, factoring_maps, is_retract_of, relative_orthogonal
 from .parser import render
 from .properties import (
     admits_section,
@@ -503,29 +503,15 @@ _ITEMS = (("lemma21", "appendix32"), ("closed_proper",), ("archetypes",), ("norm
           ("mlambda", "factorization"), ("figure2",), ("subdivision",), ("retract",))
 
 
-def _run_item(n: Optional[int], names: tuple[str, ...]) -> tuple[list, list]:
-    """Per suite of ``names``, (name, (bound used, claims)), its steps inline,
-    and the ``DECISIONS`` and ``POOL`` counts they made.  The counts are
-    taken back out of this process's counters, so that the caller adds
-    them once, whether the item ran in a worker or inline."""
-    counters = (DECISIONS, POOL)
-    before = [counter.copy() for counter in counters]
-    got = [(name, _SUITES[name](n, 1)) for name in names]
-    made = [counter - was for counter, was in zip(counters, before)]
-    for counter, was in zip(counters, before):
-        counter.clear()
-        counter.update(was)
-    return got, made
+def _run_item(n: Optional[int], names: tuple[str, ...]) -> list[tuple[str, tuple]]:
+    """Per suite of ``names``, (name, (bound used, claims)), its steps inline."""
+    return [(name, _SUITES[name](n, 1)) for name in names]
 
 
 def run_suite(name: str, n: Optional[int] = None, jobs: int = 1) -> SuiteReport:
     """Run a named verification suite and return its report."""
     if name == "all":
-        runs = {}
-        for got, (decisions, pool) in pmap(partial(_run_item, n), _ITEMS, jobs):
-            DECISIONS.update(decisions)
-            POOL.update(pool)
-            runs.update(got)
+        runs = dict(run for got in pmap(partial(_run_item, n), _ITEMS, jobs) for run in got)
         claims = [replace(c, claim_id=f"{sub_name}.{c.claim_id}")
                   for sub_name in _BOUNDS for c in runs[sub_name][1]]
         bound = max(used_n for used_n, _ in runs.values())

@@ -760,14 +760,20 @@ class TestStep:
     @pytest.mark.parametrize("ks", [range(661), range(1, 661, 2)], ids=["all", "odd"])
     def test_keep_is_the_same_cut_at_any_block_boundary(self, ks):
         # member orders restart at every block, so a step may cut ks at any
-        # block boundary: one _keep over ks keeps and decides what its block
-        # slices keep and decide together
+        # block boundary: one _keep over ks keeps and decides (adds to
+        # DECISIONS) what its block slices keep and decide together
+        import ftop.lifting as lifting
+
+        def keep(share):
+            before = lifting.DECISIONS.copy()
+            return _keep(u, rows, share), lifting.DECISIONS - before
+
         u = get_universe(3)
         members = [c for c in map(u.map_at, range(5, len(u), 23)) if not is_isomorphism(c)]
         rows = [(members, "l"), (members, "r")]
         at = [lo for _, lo in _blocks_in(u, ks)] + [len(ks)]
-        parts = [_keep(u, rows, ks[a:b]) for a, b in zip(at, at[1:])]
-        kept, made = _keep(u, rows, ks)
+        parts = [keep(ks[a:b]) for a, b in zip(at, at[1:])]
+        kept, made = keep(ks)
         assert kept == [[k for part, _ in parts for k in part[r]] for r in range(len(rows))]
         assert made == sum((part for _, part in parts), Counter())
         assert made["l"] > 0 and made["r"] > 0

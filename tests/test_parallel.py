@@ -1,10 +1,11 @@
-"""The forked path of pmap: order, errors, dead workers and reaping."""
+"""The forked path of pmap: order, counts, errors, dead workers and reaping."""
 import os
 import signal
+from collections import Counter
 
 import pytest
 
-from ftop._parallel import pmap
+from ftop._parallel import COUNTERS, DECISIONS, pmap
 from ftop.errors import MapError
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="pmap forks only with os.fork")
@@ -48,6 +49,29 @@ def test_items_run_in_one_forked_worker_per_share(jobs, size, workers, deadline)
     pids = pmap(lambda x: os.getpid(), range(size), jobs)
     assert len(set(pids)) == workers and os.getpid() not in pids
     assert all(pids[k] == pids[k % workers] for k in range(size))  # shares items[w::procs]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("size", [0, 1, 5, 17])
+def test_worker_counts_read_as_inline(jobs, size, deadline):
+    # a worker pipes back what it added to each counter, also through its
+    # own pmap calls, so the counters read as if every item ran inline
+    def work(x):
+        DECISIONS["lr"[x % 2]] += x + 1
+        return pmap(str, range(x), 1)
+
+    def counted(run):
+        before = [counter.copy() for counter in COUNTERS]
+        return run(), [counter - was for counter, was in zip(COUNTERS, before)]
+
+    items = list(range(size))
+    want, (pool, decisions) = counted(lambda: [work(x) for x in items])
+    got, (pool_got, decisions_got) = counted(lambda: pmap(work, items, jobs))
+    assert got == want and decisions_got == decisions
+    assert sum(decisions.values()) == sum(range(1, size + 1))
+    forked = int(jobs > 1 and size > 1)
+    assert pool_got == pool + Counter(calls=1, items=size, forked=forked)
     _no_child_left()
 
 

@@ -93,6 +93,31 @@ def test_lifting_keeps_no_step_state_in_module_globals():
     assert found == {"DECISIONS"}
 
 
+def test_counters_cross_the_fork_only_in_pmap():
+    # pmap brings back a worker's counts for COUNTERS, so every module-level
+    # Counter is one of them; the suite runner ships no counts, and each
+    # suite runs in exactly one item of run_suite("all")
+    from ftop import _parallel
+    from ftop.verify import _BOUNDS, _ITEMS
+
+    found = [
+        (path.name, target.id)
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, (ast.Assign, ast.AnnAssign)) and isinstance(top.value, ast.Call)
+        and getattr(top.value.func, "id", getattr(top.value.func, "attr", None)) == "Counter"
+        for target in getattr(top, "targets", [getattr(top, "target", None)])
+    ]
+    assert {path for path, _ in found} == {"_parallel.py"}
+    assert len(found) == len(_parallel.COUNTERS)
+    assert all(any(getattr(_parallel, name) is c for c in _parallel.COUNTERS) for _, name in found)
+    verify = ast.parse((SRC / "verify.py").read_text())
+    names = {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+             for node in ast.walk(verify) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert not names & {"DECISIONS", "POOL", "COUNTERS"}
+    assert sorted(name for item in _ITEMS for name in item) == sorted(_BOUNDS)
+
+
 def test_only_parallel_forks_and_nothing_imports_multiprocessing():
     # pmap forks its own workers, so the package needs no multiprocessing
     imports, forks = [], []
