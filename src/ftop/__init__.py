@@ -8,18 +8,14 @@ from .errors import CapacityError, FtopError, MapError, ParseError, SpaceError
 from .space import (
     CMap,
     Space,
-    closure,
     compose,
     coproduct,
     cylinder,
     identity,
-    is_closed,
     is_isomorphism,
-    is_open,
     lam,
     map_from_json,
     map_to_json,
-    min_nbhd,
     product,
     product_map,
     quotient,

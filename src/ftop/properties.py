@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ._solve import first_solution
-from .space import CMap, Space, _bits, _close, _fibers
+from .space import CMap, Space, _bits, _close, _fibers, _union
 
 
 def surjective(f: CMap) -> bool:
@@ -152,18 +152,10 @@ def _closed_masks(x: Space) -> list[int]:
     return [full & ~m for m in x.open_masks()]
 
 
-def _min_open(x: Space, mask: int) -> int:
-    acc = 0
-    for i, row in enumerate(x.down):
-        if mask >> i & 1:
-            acc |= row
-    return acc
-
-
 def _normal_on(x: Space, sub: int, closed) -> bool:
     """The subspace on the points of mask ``sub`` is normal, given its
     closed sets: disjoint ones have disjoint open neighborhoods."""
-    pairs = [(c, _min_open(x, c) & sub) for c in closed]
+    pairs = [(c, _union(x.down, c) & sub) for c in closed]
     return all(c1 & c2 or not o1 & o2
                for k, (c1, o1) in enumerate(pairs) for c2, o2 in pairs[k + 1:])
 
@@ -182,15 +174,15 @@ def hereditarily_normal(x: Space) -> bool:
 
 def hereditarily_normal_by_separation(x: Space) -> bool:
     """Pairs of mutually closure-disjoint sets have disjoint neighborhoods."""
-    n = len(x.points)
+    n, up, down = len(x.points), x.up, x.down
     for a in range(1 << n):
-        cl_a = x.closure_mask(a)
+        cl_a = _union(up, a)
         for b in range(1 << n):
             if a & b:
                 continue
-            if cl_a & b or x.closure_mask(b) & a:
+            if cl_a & b or _union(up, b) & a:
                 continue
-            if _min_open(x, a) & _min_open(x, b):
+            if _union(down, a) & _union(down, b):
                 return False
     return True
 

@@ -58,6 +58,16 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _union(rows, mask: int) -> int:
+    """The union of the rows at the bits of ``mask``: over ``up`` rows the
+    closure of that point set, over ``down`` rows its smallest open set."""
+    acc = 0
+    for i, row in enumerate(rows):
+        if mask >> i & 1:
+            acc |= row
+    return acc
+
+
 class Space:
     """A finite topological space presented by its specialization preorder.
 
@@ -70,7 +80,7 @@ class Space:
     """
 
     __slots__ = (
-        "points", "rel", "_pset", "_index", "up", "down", "_hash", "_lazy", "__weakref__",
+        "points", "rel", "_index", "up", "down", "_hash", "_lazy", "__weakref__",
     )
 
     def __init__(self, points: Iterable[str], rel: Iterable[tuple[str, str]]):
@@ -104,11 +114,10 @@ class Space:
         full = frozenset(rel)
         _setattr(self, "points", pts)
         _setattr(self, "rel", full)
-        _setattr(self, "_pset", frozenset(pts))
         _setattr(self, "_index", index)
         _setattr(self, "up", tuple(up))
         _setattr(self, "down", tuple(down))
-        _setattr(self, "_hash", hash((self._pset, full)))
+        _setattr(self, "_hash", hash((frozenset(pts), full)))
         _setattr(self, "_lazy", {})
 
     def __setattr__(self, name, value):  # immutability by construction
@@ -119,7 +128,8 @@ class Space:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Space):
             return NotImplemented
-        return self is other or (self._pset == other._pset and self.rel == other.rel)
+        return self is other or (
+            self._index.keys() == other._index.keys() and self.rel == other.rel)
 
     def __hash__(self) -> int:
         return self._hash
@@ -131,7 +141,7 @@ class Space:
         return len(self.points)
 
     def __contains__(self, p) -> bool:
-        return p in self._pset
+        return p in self._index
 
     def __getstate__(self):
         return (self.points, tuple(sorted(self.rel)))
@@ -177,11 +187,7 @@ class Space:
         return frozenset(self.points[i] for i in _bits(mask))
 
     def closure_mask(self, mask: int) -> int:
-        acc = 0
-        for i, row in enumerate(self.up):
-            if mask >> i & 1:
-                acc |= row
-        return acc
+        return _union(self.up, mask)
 
     def closure(self, subset: Iterable[str]) -> frozenset[str]:
         """Smallest closed superset of ``subset``."""
@@ -217,13 +223,6 @@ class Space:
             )
             self._lazy["opens"] = got
         return got
-
-    def open_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(self._set_of(m) for m in self.open_masks())
-
-    def closed_sets(self) -> tuple[frozenset[str], ...]:
-        full = (1 << len(self.points)) - 1
-        return tuple(self._set_of(full & ~m) for m in self.open_masks())
 
     def subspace(self, subset: Iterable[str]) -> "Space":
         """Induced topology on ``subset``: the relation restricted."""
@@ -264,25 +263,6 @@ class Space:
             got = tuple(order)
             self._lazy["ext"] = got
         return got
-
-
-# -- module-level operation aliases (the operation names of the engine) ----
-
-
-def closure(space: Space, subset: Iterable[str]) -> frozenset[str]:
-    return space.closure(subset)
-
-
-def min_nbhd(space: Space, p: str) -> frozenset[str]:
-    return space.min_nbhd(p)
-
-
-def is_open(space: Space, subset: Iterable[str]) -> bool:
-    return space.is_open(subset)
-
-
-def is_closed(space: Space, subset: Iterable[str]) -> bool:
-    return space.is_closed(subset)
 
 
 def _edges(x: Space) -> tuple[tuple[int, int], ...]:
@@ -597,10 +577,15 @@ def space_to_json(x: Space) -> dict:
 
 def space_from_json(data: dict) -> Space:
     try:
-        points = data["points"]
-        rel = [(a, b) for a, b in data["rel"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        points, rel = data["points"], data["rel"]
+    except (KeyError, TypeError) as exc:
         raise SpaceError(f"malformed space JSON: {exc}") from exc
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise SpaceError("malformed space JSON: points must be a list of strings")
+    if not isinstance(rel, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
+            for e in rel):
+        raise SpaceError("malformed space JSON: rel must be a list of [point, point] lists")
     return Space(points, rel)
 
 
@@ -614,9 +599,9 @@ def map_to_json(f: CMap) -> dict:
 
 def map_from_json(data: dict) -> CMap:
     try:
-        src = space_from_json(data["src"])
-        dst = space_from_json(data["dst"])
-        assign = dict(data["assign"])
+        src, dst, assign = data["src"], data["dst"], data["assign"]
     except (KeyError, TypeError) as exc:
         raise MapError(f"malformed map JSON: {exc}") from exc
-    return CMap(src, dst, assign)
+    if not isinstance(assign, dict) or not all(isinstance(q, str) for q in assign.values()):
+        raise MapError("malformed map JSON: assign must be an object of point names")
+    return CMap(space_from_json(src), space_from_json(dst), assign)

@@ -234,11 +234,6 @@ def _space_from_enc(n: int, bits: int) -> Space:
     return Space(pts, rel)
 
 
-def canonical_space(space: Space) -> Space:
-    (n, bits), _ = _canon(space)
-    return _space_from_enc(n, bits)
-
-
 def automorphisms(space: Space) -> tuple[tuple[int, ...], ...]:
     """All relation-preserving permutations of the point indices, sorted (cached)."""
     got = space._lazy.get("auts")

@@ -36,6 +36,18 @@ class TestParseCommand:
         out = capsys.readouterr().out.splitlines()
         assert parse_map(out[0]) == M_TO_LAMBDA
 
+    @pytest.mark.parametrize("blob, message", [
+        ({"points": "ab", "rel": []}, "malformed space JSON"),
+        ({"points": ["a", "b"], "rel": ["ab"]}, "malformed space JSON"),
+        ({**map_to_json(M_TO_LAMBDA), "assign": "ab"}, "malformed map JSON"),
+        ({**map_to_json(M_TO_LAMBDA), "assign": [["a"]]}, "malformed map JSON"),
+    ])
+    def test_malformed_json_file_exit_2(self, tmp_path, capsys, blob, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert main(["parse", f"@{path}"]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestLiftCommand:
     def test_spec_example_holds(self, capsys):

@@ -55,6 +55,11 @@ def brute_closure(points, rel, subset):
         out |= nxt
 
 
+def open_sets(x):
+    """The open sets of ``x`` as sets of point names, from its open masks."""
+    return [{p for k, p in enumerate(x.points) if m >> k & 1} for m in x.open_masks()]
+
+
 def random_space(rng, max_points=5, pool="abcdefgh"):
     n = rng.randint(0, max_points)
     pts = list(pool[:n])
@@ -172,6 +177,15 @@ class TestSpaceInvariants:
         x = Space(["a", "b"], [("a", "b"), ("a", "a"), ("b", "b")])
         y = Space(["b", "a"], [("a", "b"), ("a", "a"), ("b", "b")])
         assert x == y and hash(x) == hash(y)
+        # one relation from each constructor, in any point order
+        for z in (Space.from_arrows(["b", "a"], [("a", "b")]),
+                  space_from_json({"points": ["a", "b"], "rel": [["a", "b"]]})):
+            assert z == x and hash(z) == hash(x)
+        # the same rows on other point names are another space
+        assert Space(["a", "c"], [("a", "c")]) != x
+        assert Space(["c", "d"], [("c", "d")]) != x
+        assert Space(["a", "b"], []) != x  # and other rows on the same names
+        assert "a" in x and "b" in y and "z" not in x and "ab" not in x
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -605,7 +619,7 @@ class TestContinuityDictionary:
                     )
                     continuous = all(
                         x.is_open([p for p in x.points if assign[p] in o])
-                        for o in y.open_sets()
+                        for o in open_sets(y)
                     )
                     assert monotone == continuous
 
@@ -639,3 +653,21 @@ class TestJson:
     def test_json_requires_closed_rel(self):
         with pytest.raises(SpaceError):
             space_from_json({"points": ["a", "b", "c"], "rel": [["a", "b"], ["b", "c"]]})
+
+    @pytest.mark.parametrize("data", [
+        {"points": "ab", "rel": []},  # a string is not a list of point names
+        {"points": ["a", "b"], "rel": ["ab"]},  # nor a relation pair
+        {"points": ["a", "b"], "rel": {"ab": 0}},
+        {"points": ["a", 1], "rel": []},
+        {"points": ["1", "2"], "rel": [[1, 2]]},  # nor are numbers point names
+    ])
+    def test_malformed_space_json_is_rejected(self, data):
+        with pytest.raises(SpaceError, match="malformed space JSON"):
+            space_from_json(data)
+
+    @pytest.mark.parametrize("assign", ["ab", [["o"]], [["o", "o"], ["c", "o"]],
+                                        {"o": ["o"], "c": "o"}])
+    def test_malformed_map_json_is_rejected(self, assign):
+        data = {"src": space_to_json(SIERPINSKI), "dst": space_to_json(POINT), "assign": assign}
+        with pytest.raises(MapError, match="malformed map JSON"):
+            map_from_json(data)

@@ -3,6 +3,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,25 @@ def test_one_factorization_path():
                 if node.name == "factor_search":
                     calls = {ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
     assert not defs & {"bounded_factor", "_pins"} and "factoring_maps" in calls
+
+
+def test_space_operations_have_one_name():
+    # an operation on one space is a Space method or a module function of
+    # ftop.space, never both, and the README's operation lists name only
+    # what the package defines
+    from ftop import lifting, space
+
+    twins = [name for name, value in vars(space).items()
+             if inspect.isfunction(value) and value.__module__ == space.__name__
+             and hasattr(space.Space, name)]
+    assert twins == []
+    readme = (PERFBENCH.parent / "README.md").read_text()
+    for module in (space, lifting):
+        listed = readme.split(f"(`{module.__name__}`):", 1)[1].split(". ", 1)[0]
+        names = [re.sub(r"\(.*", "", name) for name in re.findall(r"`([^`]+)`", listed)]
+        missing = [name for name in names
+                   if not hasattr(module, name) and not hasattr(space.Space, name)]
+        assert len(names) >= 7 and missing == []
 
 
 def test_star_import_binds_every_exported_name():
